@@ -59,14 +59,19 @@ func MustParseAddr(s string) Addr {
 // String returns the dotted-quad representation.
 func (a Addr) String() string {
 	var b [15]byte
-	out := strconv.AppendUint(b[:0], uint64(a>>24), 10)
-	out = append(out, '.')
-	out = strconv.AppendUint(out, uint64(a>>16&0xff), 10)
-	out = append(out, '.')
-	out = strconv.AppendUint(out, uint64(a>>8&0xff), 10)
-	out = append(out, '.')
-	out = strconv.AppendUint(out, uint64(a&0xff), 10)
-	return string(out)
+	return string(a.AppendTo(b[:0]))
+}
+
+// AppendTo appends the dotted-quad representation to b and returns the
+// extended slice, allocating only if b must grow.
+func (a Addr) AppendTo(b []byte) []byte {
+	b = strconv.AppendUint(b, uint64(a>>24), 10)
+	b = append(b, '.')
+	b = strconv.AppendUint(b, uint64(a>>16&0xff), 10)
+	b = append(b, '.')
+	b = strconv.AppendUint(b, uint64(a>>8&0xff), 10)
+	b = append(b, '.')
+	return strconv.AppendUint(b, uint64(a&0xff), 10)
 }
 
 // Netip converts to a netip.Addr.
@@ -206,7 +211,16 @@ func (p Prefix) Mask() Addr { return Addr(maskOf(p.Len)) }
 
 // String returns "a.b.c.d/len".
 func (p Prefix) String() string {
-	return p.Base.String() + "/" + strconv.Itoa(int(p.Len))
+	var b [18]byte
+	return string(p.AppendTo(b[:0]))
+}
+
+// AppendTo appends "a.b.c.d/len" to b and returns the extended slice,
+// allocating only if b must grow.
+func (p Prefix) AppendTo(b []byte) []byte {
+	b = p.Base.AppendTo(b)
+	b = append(b, '/')
+	return strconv.AppendUint(b, uint64(p.Len), 10)
 }
 
 // Canonical reports whether no host bits are set in Base.

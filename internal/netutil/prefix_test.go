@@ -1,6 +1,7 @@
 package netutil
 
 import (
+	"fmt"
 	"math/rand"
 	"net/netip"
 	"testing"
@@ -101,6 +102,32 @@ func TestPrefixStringRoundTripQuick(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestAppendToMatchesString checks the append forms against the
+// reference fmt rendering and that they extend, never overwrite, the
+// destination.
+func TestAppendToMatchesString(t *testing.T) {
+	f := func(v uint32, l uint8) bool {
+		a := Addr(v)
+		p := Prefix{Base: a, Len: l % 33}.Canonicalize()
+		quad := func(v uint32) string {
+			return fmt.Sprintf("%d.%d.%d.%d", v>>24, v>>16&0xff, v>>8&0xff, v&0xff)
+		}
+		wantA := quad(v)
+		wantP := quad(uint32(p.Base)) + "/" + fmt.Sprint(p.Len)
+		return string(a.AppendTo([]byte("x="))) == "x="+wantA && a.String() == wantA &&
+			string(p.AppendTo([]byte("y="))) == "y="+wantP && p.String() == wantP
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Error(err)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		var buf [32]byte
+		_ = MustParsePrefix("198.51.100.0/24").AppendTo(buf[:0])
+	}); n != 0 {
+		t.Errorf("Prefix.AppendTo into a large-enough buffer allocates %v times", n)
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math/rand"
 	"net/http"
 	"sort"
@@ -14,6 +15,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"ipleasing/internal/core"
 	"ipleasing/internal/diag"
 	"ipleasing/internal/netutil"
 	"ipleasing/internal/telemetry"
@@ -378,7 +380,7 @@ func (s *Server) acquireSnap() *Snapshot {
 
 // Route registers an additional endpoint behind the same hardening
 // middleware (arrival counting, optional load shedding + request
-// timeout, latency observation, panic-to-500) and per-endpoint metric
+// deadline, latency observation, panic-to-500) and per-endpoint metric
 // children as the built-in routes. The daemon uses it to mount the
 // snapshot publish endpoint without the serving layer importing the
 // snapshot store. Must be called before the handler serves traffic;
@@ -391,9 +393,10 @@ func (s *Server) Route(name, pattern string, limited bool, h http.HandlerFunc) {
 }
 
 // route registers one endpoint behind the hardening middleware.
-// Health and status endpoints skip the concurrency limiter (limited =
-// false): they must answer precisely when the service is overloaded,
-// and they never touch more than in-memory counters.
+// Health and status endpoints skip the concurrency limiter and the
+// request deadline (limited = false): they must answer precisely when
+// the service is overloaded, and they never touch more than in-memory
+// counters.
 func (s *Server) route(name, pattern string, limited bool, h http.HandlerFunc) {
 	st := &endpointStats{
 		requests: s.m.requests.With(name),
@@ -402,37 +405,84 @@ func (s *Server) route(name, pattern string, limited bool, h http.HandlerFunc) {
 		latency:  s.m.latency.With(name),
 	}
 	s.stats[name] = st
-	inner := http.Handler(h)
-	if limited {
-		inner = http.TimeoutHandler(inner, s.cfg.RequestTimeout, "request timed out\n")
-	}
-	s.mux.Handle(pattern, s.harden(name, st, limited, inner))
+	s.mux.Handle(pattern, s.harden(name, st, limited, h))
 }
 
-// statusRecorder captures the response status for error accounting.
-type statusRecorder struct {
+// timeoutBody is the 503 body of a request that overran its deadline.
+const timeoutBody = "request timed out\n"
+
+// responseGate is the one writer harden puts in front of every handler.
+// It records the response status for error accounting and, on limited
+// routes, gates the response on the request deadline: a response not
+// committed (no WriteHeader, no Write) before the deadline can no longer
+// be — its writes fail with http.ErrHandlerTimeout, and once the handler
+// returns, harden answers 503 in its place. It runs on the handler's own
+// goroutine, so it needs no lock.
+type responseGate struct {
 	http.ResponseWriter
-	status int
-	wrote  bool
+	deadline time.Time   // zero: no deadline (unlimited routes)
+	preset   http.Header // headers set before the handler ran; kept on timeout
+	status   int
+	wrote    bool
 }
 
-func (r *statusRecorder) WriteHeader(code int) {
-	if !r.wrote {
-		r.status, r.wrote = code, true
+// admit reports whether a write may reach the client, committing the
+// response with code on its first write.
+func (g *responseGate) admit(code int) bool {
+	if g.wrote {
+		return true
 	}
-	r.ResponseWriter.WriteHeader(code)
+	if g.expired() {
+		return false
+	}
+	g.status, g.wrote = code, true
+	return true
 }
 
-func (r *statusRecorder) Write(p []byte) (int, error) {
-	if !r.wrote {
-		r.status, r.wrote = http.StatusOK, true
+// expired reports whether the request deadline has passed. It compares
+// clocks rather than polling the context, so a body read cut by the same
+// deadline (SetReadDeadline) is always seen as a timeout, whichever of
+// the netpoller and the context timer fires first.
+func (g *responseGate) expired() bool {
+	return !g.deadline.IsZero() && !time.Now().Before(g.deadline)
+}
+
+func (g *responseGate) WriteHeader(code int) {
+	if g.admit(code) {
+		g.ResponseWriter.WriteHeader(code)
 	}
-	return r.ResponseWriter.Write(p)
+}
+
+func (g *responseGate) Write(p []byte) (int, error) {
+	if !g.admit(http.StatusOK) {
+		return 0, http.ErrHandlerTimeout
+	}
+	return g.ResponseWriter.Write(p)
+}
+
+// Unwrap lets http.ResponseController reach the connection (Flush,
+// SetReadDeadline, ...) from any routed handler.
+func (g *responseGate) Unwrap() http.ResponseWriter { return g.ResponseWriter }
+
+// timeout answers an uncommitted, overrun request: 503 with the fixed
+// body, carrying only the headers set before the handler ran.
+func (g *responseGate) timeout() {
+	h := g.ResponseWriter.Header()
+	clear(h)
+	for k, v := range g.preset {
+		h[k] = v
+	}
+	g.status, g.wrote = http.StatusServiceUnavailable, true
+	g.ResponseWriter.WriteHeader(http.StatusServiceUnavailable)
+	io.WriteString(g.ResponseWriter, timeoutBody) //nolint:errcheck // client gone; nothing to do
 }
 
 // harden wraps a handler with the request-hardening middleware: arrival
-// counting, the trace-or-not decision, load shedding, latency
-// observation, panic-to-500 recovery, and 5xx accounting.
+// counting, the trace-or-not decision, load shedding, the request
+// deadline, latency observation, panic-to-500 recovery, and 5xx
+// accounting. Everything runs on the request's own goroutine: a limited
+// request holds its limiter slot until its handler really returns, so
+// MaxInFlight bounds work, not just waiting clients.
 func (s *Server) harden(name string, st *endpointStats, limited bool, h http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		st.requests.Inc()
@@ -455,13 +505,13 @@ func (s *Server) harden(name string, st *endpointStats, limited bool, h http.Han
 				w.Header().Set("X-Trace-Id", tr.ID().String())
 			}
 		}
-		rec := &statusRecorder{ResponseWriter: w}
+		gate := &responseGate{ResponseWriter: w}
 		if tr != nil {
 			// Registered before the accounting defer so it runs after
 			// panic recovery has settled the response status.
 			defer func() {
-				status := rec.status
-				if !rec.wrote {
+				status := gate.status
+				if !gate.wrote {
 					status = http.StatusOK
 				}
 				tr.End()
@@ -474,32 +524,62 @@ func (s *Server) harden(name string, st *endpointStats, limited bool, h http.Han
 				defer func() { <-s.sem }()
 			default:
 				st.shed.Inc()
-				rec.Header().Set("Retry-After",
+				gate.Header().Set("Retry-After",
 					strconv.Itoa(int((s.cfg.RetryAfter+time.Second-1)/time.Second)))
-				http.Error(rec, "overloaded, retry later", http.StatusTooManyRequests)
+				http.Error(gate, "overloaded, retry later", http.StatusTooManyRequests)
 				return
+			}
+			ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
+			defer cancel()
+			r = r.WithContext(ctx)
+			gate.deadline, _ = ctx.Deadline()
+			if len(w.Header()) > 0 {
+				gate.preset = w.Header().Clone()
+			}
+			if r.Body != nil && r.Body != http.NoBody {
+				s.boundBodyRead(w, r, gate.deadline)
 			}
 		}
 		start := s.cfg.now()
 		defer func() {
 			st.latency.Observe(s.cfg.now().Sub(start).Seconds())
-			if v := recover(); v != nil {
-				if v == http.ErrAbortHandler {
-					panic(v)
-				}
-				st.errors.Inc()
-				s.cfg.Logger.Error("panic serving request", "path", r.URL.Path, "panic", v)
-				if !rec.wrote {
-					http.Error(rec, "internal error", http.StatusInternalServerError)
-				}
-				return
+			v := recover()
+			if v == http.ErrAbortHandler {
+				panic(v)
 			}
-			if rec.wrote && rec.status >= 500 {
+			if v != nil {
+				s.cfg.Logger.Error("panic serving request", "path", r.URL.Path, "panic", v)
+			}
+			if !gate.wrote {
+				switch {
+				case gate.expired():
+					gate.timeout()
+				case v != nil:
+					http.Error(gate, "internal error", http.StatusInternalServerError)
+				}
+			}
+			if v != nil || gate.status >= 500 {
 				st.errors.Inc()
 			}
 		}()
-		h.ServeHTTP(rec, r)
+		h.ServeHTTP(gate, r)
 	})
+}
+
+// boundBodyRead cuts the request body's read off at the request
+// deadline, so a client that stalls mid-body gets its 503 within the
+// budget rather than pinning a limiter slot until the server's
+// ReadTimeout. A server ReadTimeout no longer than the budget already
+// bounds the read and is left alone: the connection deadline set here
+// replaces the server's, and must never loosen it.
+func (s *Server) boundBodyRead(w http.ResponseWriter, r *http.Request, deadline time.Time) {
+	if srv, _ := r.Context().Value(http.ServerContextKey).(*http.Server); srv != nil &&
+		srv.ReadTimeout > 0 && srv.ReadTimeout <= s.cfg.RequestTimeout {
+		return
+	}
+	// ErrNotSupported (no connection underneath, e.g. a recorder) leaves
+	// nothing to bound.
+	http.NewResponseController(w).SetReadDeadline(deadline) //nolint:errcheck
 }
 
 // build runs the configured builder with panic containment: a snapshot
@@ -619,6 +699,9 @@ func (s *Server) Reload(ctx context.Context, forced bool) error {
 			// publisher's.
 			if snap.Provenance == "" {
 				snap.Provenance = span.Traceparent()
+			}
+			if snap.genHeader == nil && snap.Generation != 0 {
+				snap.genHeader = []string{strconv.FormatUint(snap.Generation, 10)}
 			}
 			if snap.Generation != 0 {
 				span.SetAttr("generation", strconv.FormatUint(snap.Generation, 10))
@@ -773,30 +856,24 @@ func (s *Server) ReloadLoop(ctx context.Context) {
 // generation without a second, racy status round trip.
 const GenerationHeader = "X-Snapshot-Generation"
 
-// setGenerationHeader stamps the answering snapshot's generation.
-// Absent when the process never assigns generations (no snapshot store).
+// setGenerationHeader stamps the answering snapshot's generation from
+// the value Reload prepared at swap time. Absent when the process never
+// assigns generations (no snapshot store).
 func setGenerationHeader(w http.ResponseWriter, snap *Snapshot) {
-	if snap.Generation != 0 {
-		w.Header().Set(GenerationHeader, strconv.FormatUint(snap.Generation, 10))
+	if snap.genHeader != nil {
+		w.Header()[GenerationHeader] = snap.genHeader
 	}
 }
 
-// writeJSON renders one response body.
+// writeJSON renders one response body of the cold endpoints (status,
+// health, load report); the lookup endpoints use the append renderer
+// (render.go), which reproduces this encoder's bytes.
 func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
+	w.Header()["Content-Type"] = jsonContentType
 	w.WriteHeader(status)
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	enc.Encode(v) //nolint:errcheck // client gone; nothing to do
-}
-
-// lookupResponse is the /lookup JSON shape.
-type lookupResponse struct {
-	Query           string           `json:"query"`
-	SnapshotBuiltAt time.Time        `json:"snapshot_built_at"`
-	Found           bool             `json:"found"`
-	Inference       *InferenceView   `json:"inference,omitempty"`
-	Inferences      []*InferenceView `json:"inferences,omitempty"`
 }
 
 // handleLookup answers prefix, address, and ASN queries:
@@ -804,6 +881,9 @@ type lookupResponse struct {
 //	/lookup?prefix=198.51.100.0/24  exact leaf-prefix classification
 //	/lookup?ip=198.51.100.7         longest-prefix-match classification
 //	/lookup?asn=64500               every leaf originated by the ASN
+//
+// The first non-empty parameter in that order wins; each is read as
+// url.Values.Get would, without building the query map.
 func (s *Server) handleLookup(w http.ResponseWriter, r *http.Request) {
 	snap := s.acquireSnap()
 	if snap == nil {
@@ -814,68 +894,46 @@ func (s *Server) handleLookup(w http.ResponseWriter, r *http.Request) {
 	setGenerationHeader(w, snap)
 	ctx := r.Context()
 	_, decSpan := telemetry.StartSpan(ctx, "decode")
-	q := r.URL.Query()
-	resp := lookupResponse{SnapshotBuiltAt: snap.BuiltAt}
 	var (
-		lookup func()
-		query  string
+		kind, arg string
+		p         netutil.Prefix
+		a         netutil.Addr
+		asn       uint64
+		err       error
 	)
-	switch {
-	case q.Get("prefix") != "":
-		arg := q.Get("prefix")
-		p, err := netutil.ParsePrefix(arg)
-		if err != nil {
-			decSpan.End()
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
+	raw := r.URL.RawQuery
+	if kind, arg = "prefix", queryGet(raw, "prefix"); arg != "" {
+		p, err = netutil.ParsePrefix(arg)
+	} else if kind, arg = "ip", queryGet(raw, "ip"); arg != "" {
+		a, err = netutil.ParseAddr(arg)
+	} else if kind, arg = "asn", queryGet(raw, "asn"); arg != "" {
+		if asn, err = strconv.ParseUint(strings.TrimPrefix(arg, "AS"), 10, 32); err != nil {
+			err = errors.New("invalid asn: " + arg)
 		}
-		query = "prefix=" + arg
-		lookup = func() {
-			if inf := snap.LookupPrefix(p); inf != nil {
-				resp.Found, resp.Inference = true, View(inf)
-			}
-		}
-	case q.Get("ip") != "":
-		arg := q.Get("ip")
-		a, err := netutil.ParseAddr(arg)
-		if err != nil {
-			decSpan.End()
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		query = "ip=" + arg
-		lookup = func() {
-			if inf := snap.LookupAddr(a); inf != nil {
-				resp.Found, resp.Inference = true, View(inf)
-			}
-		}
-	case q.Get("asn") != "":
-		arg := q.Get("asn")
-		asn, err := strconv.ParseUint(strings.TrimPrefix(arg, "AS"), 10, 32)
-		if err != nil {
-			decSpan.End()
-			http.Error(w, "invalid asn: "+arg, http.StatusBadRequest)
-			return
-		}
-		query = "asn=" + arg
-		lookup = func() {
-			for _, inf := range snap.LookupASN(uint32(asn)) {
-				resp.Inferences = append(resp.Inferences, View(inf))
-			}
-			resp.Found = len(resp.Inferences) > 0
-		}
-	default:
-		decSpan.End()
-		http.Error(w, "missing query: one of prefix=, ip=, asn=", http.StatusBadRequest)
-		return
+	} else {
+		err = errors.New("missing query: one of prefix=, ip=, asn=")
 	}
 	decSpan.End()
-	resp.Query = query
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusBadRequest)
+		return
+	}
 	_, lpmSpan := telemetry.StartSpan(ctx, "lookup")
-	lookup()
+	var (
+		inf  *core.Inference
+		infs []*core.Inference
+	)
+	switch kind {
+	case "prefix":
+		inf = snap.LookupPrefix(p)
+	case "ip":
+		inf = snap.LookupAddr(a)
+	default:
+		infs = snap.LookupASN(uint32(asn))
+	}
 	lpmSpan.End()
 	_, renderSpan := telemetry.StartSpan(ctx, "render")
-	writeJSON(w, http.StatusOK, resp)
+	renderLookup(w, kind, arg, snap.BuiltAt, inf, infs)
 	renderSpan.End()
 }
 
@@ -889,26 +947,12 @@ type batchLookupRequest struct {
 	IPs []string `json:"ips"`
 }
 
-// batchLookupItem is one per-address result. Exactly one of Error or
-// (Found, Inference) is meaningful: a malformed address reports its
-// parse error in place instead of failing the whole batch.
-type batchLookupItem struct {
-	IP        string         `json:"ip"`
-	Found     bool           `json:"found"`
-	Inference *InferenceView `json:"inference,omitempty"`
-	Error     string         `json:"error,omitempty"`
-}
-
-// batchLookupResponse is the /lookup/batch response body.
-type batchLookupResponse struct {
-	SnapshotBuiltAt time.Time         `json:"snapshot_built_at"`
-	Results         []batchLookupItem `json:"results"`
-}
-
 // handleLookupBatch answers POST /lookup/batch: a JSON array of
 // addresses classified in one round trip against one snapshot. Every
 // address in the batch reads the same snapshot pointer, so a reload
-// landing mid-request can never split the batch across generations.
+// landing mid-request can never split the batch across generations. A
+// malformed address reports its parse error in place instead of failing
+// the whole batch.
 func (s *Server) handleLookupBatch(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		w.Header().Set("Allow", http.MethodPost)
@@ -942,27 +986,19 @@ func (s *Server) handleLookupBatch(w http.ResponseWriter, r *http.Request) {
 			http.StatusRequestEntityTooLarge)
 		return
 	}
-	resp := batchLookupResponse{
-		SnapshotBuiltAt: snap.BuiltAt,
-		Results:         make([]batchLookupItem, len(req.IPs)),
-	}
 	_, lpmSpan := telemetry.StartSpan(ctx, "lookup")
+	// A malformed address keeps its slot (as address 0) so the batched
+	// descent stays one call; its parse error overrides the match.
+	addrs := make([]netutil.Addr, len(req.IPs))
+	errs := make([]error, len(req.IPs))
 	for i, raw := range req.IPs {
-		item := &resp.Results[i]
-		item.IP = raw
-		a, err := netutil.ParseAddr(raw)
-		if err != nil {
-			item.Error = err.Error()
-			continue
-		}
-		if inf := snap.LookupAddr(a); inf != nil {
-			item.Found, item.Inference = true, View(inf)
-		}
+		addrs[i], errs[i] = netutil.ParseAddr(raw)
 	}
+	hits := snap.LookupAddrs(make([]*core.Inference, 0, len(addrs)), addrs)
 	lpmSpan.AddRecords(int64(len(req.IPs)))
 	lpmSpan.End()
 	_, renderSpan := telemetry.StartSpan(ctx, "render")
-	writeJSON(w, http.StatusOK, resp)
+	renderBatch(w, snap.BuiltAt, req.IPs, hits, errs)
 	renderSpan.End()
 }
 

@@ -85,6 +85,11 @@ type Snapshot struct {
 	backing  Backing
 	refs     atomic.Int64
 	loadMode string
+
+	// genHeader is the GenerationHeader value, formatted once by Reload
+	// before the swap publishes the snapshot (nil for generation 0) and
+	// shared by every response it answers.
+	genHeader []string
 }
 
 // Acquire takes a read reference on the snapshot's backing memory.

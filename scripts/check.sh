@@ -50,8 +50,11 @@ go test -run 'TestFaultInjectionMatrix|TestCorruptDeterministic' .
 echo "== delta equivalence matrix + reload breaker (race-gated)"
 go test -race -run 'TestDeltaEquivalence|TestDeltaZeroChurnAliases|TestDeltaReloadBreaker' .
 
+# ./internal/serve carries the lookup renderer's differential fuzzers:
+# the JSON string escaper against json.Marshal and the query scan
+# against url.ParseQuery.
 echo "== fuzz seed corpora (go test -run Fuzz)"
-go test -run 'Fuzz' ./internal/mrt ./internal/arinwhois ./internal/lacnicwhois ./internal/telemetry
+go test -run 'Fuzz' ./internal/mrt ./internal/arinwhois ./internal/lacnicwhois ./internal/telemetry ./internal/serve
 
 # The tracing plane is race-gated even in -quick mode: span trees are
 # built across request goroutines, the collector rings are shared with
@@ -243,7 +246,12 @@ addr_out=$(go test -run '^$' -bench 'BenchmarkLookupAddr$|BenchmarkLookupAddrMap
 echo "$addr_out"
 batch_out=$(go test -run '^$' -bench 'BenchmarkLookupBatch$' -benchmem -benchtime 5000x -count 5 ./internal/serve)
 echo "$batch_out"
-serve_out=$(printf '%s\n%s' "$addr_out" "$batch_out" | bench_min)
+# The handler rung: one /lookup and one 1000-address /lookup/batch
+# through the whole routed handler (middleware, deadline, query scan,
+# lookup, render) on a discard writer, no network.
+handler_out=$(go test -run '^$' -bench 'BenchmarkHandlerLookup$|BenchmarkHandlerLookupBatch$' -benchmem -benchtime 1s -count 5 ./internal/serve)
+echo "$handler_out"
+serve_out=$(printf '%s\n%s\n%s' "$addr_out" "$batch_out" "$handler_out" | bench_min)
 
 # The single-address lookup is the daemon's hottest path; it must stay
 # allocation-free no matter what the 25% drift gate would tolerate.
@@ -253,8 +261,18 @@ lookup_allocs=$(bench_val "$serve_out" BenchmarkLookupAddr allocs/op)
 	exit 1
 }
 
+# The handler rung starts no goroutine and reflects over nothing: the
+# deadline context, the request copy and the response gate are all it
+# may allocate. Budget: 8 allocs/op, whatever the drift gate tolerates.
+handler_allocs=$(bench_val "$serve_out" BenchmarkHandlerLookup allocs/op)
+[ -n "$handler_allocs" ] || { echo "FAIL: BenchmarkHandlerLookup missing from bench output"; exit 1; }
+awk -v a="$handler_allocs" 'BEGIN { exit !(a + 0 <= 8) }' || {
+	echo "FAIL: BenchmarkHandlerLookup allocates $handler_allocs allocs/op, budget 8"
+	exit 1
+}
+
 echo "== serve bench regression gate (vs committed BENCH_serve.json)"
-for b in BenchmarkLookupAddr BenchmarkLookupAddrMapWalk BenchmarkLookupBatch; do
+for b in BenchmarkLookupAddr BenchmarkLookupAddrMapWalk BenchmarkLookupBatch BenchmarkHandlerLookup BenchmarkHandlerLookupBatch; do
 	bench_gate BENCH_serve.json "$b" "$(bench_val "$serve_out" "$b" ns/op)" "$(bench_val "$serve_out" "$b" allocs/op)"
 done
 
