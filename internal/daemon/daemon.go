@@ -141,7 +141,11 @@ func (c Config) logLevelOrDefault() string {
 // re-classify only the dirty allocation-forest roots, and patch the
 // previous snapshot's serving indexes instead of rebuilding them.
 // Holding the baseline costs one extra dataset generation of memory —
-// the price of diffing — which Delta=false avoids.
+// the price of diffing — which Delta=false avoids. That generation is
+// serving-scoped (see ipleasing.LoadAndInfer): it holds the WHOIS
+// objects, the merged routing table, the relationship and organisation
+// data and the RPKI archive the diff reads, not the geolocation panel,
+// abuse lists or evaluation files, which no reload parses.
 type snapshotBuilder struct {
 	cfg  Config
 	opts ipleasing.LoadOptions

@@ -226,6 +226,77 @@ func TestStrictFlagRejectsCorruptDataset(t *testing.T) {
 	}
 }
 
+// TestStrictDaemonIgnoresUnreadSources: a strict daemon parses only the
+// sources the inference reads, so a malformed row in the geolocation
+// panel or the ground-truth file — fatal to a strict full load — must
+// not keep it from starting, and neither its /loadreport nor its ingest
+// metrics may mention a source it never parsed.
+func TestStrictDaemonIgnoresUnreadSources(t *testing.T) {
+	served := []string{"whois/RIPE", "whois/ARIN", "whois/APNIC", "whois/AFRINIC", "whois/LACNIC",
+		"bgp/rib.routeviews.mrt", "bgp/rib.ris.mrt", "asrel", "as2org", "rpki"}
+	for _, tc := range []struct {
+		name, glob, row string
+	}{
+		{"geofeed", "geo/geofeed-*.csv", "198.51.100.0/33,ZZ\n"},
+		{"groundtruth", "groundtruth.csv", "RIPE,not-a-prefix,leased,true\n"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := dataset(t)
+			paths, err := filepath.Glob(filepath.Join(dir, tc.glob))
+			if err != nil || len(paths) == 0 {
+				t.Fatalf("no %s in %s: %v", tc.glob, dir, err)
+			}
+			path := paths[0]
+			f, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := f.WriteString(tc.row); err != nil {
+				t.Fatal(err)
+			}
+			if err := f.Close(); err != nil {
+				t.Fatal(err)
+			}
+			// The damage is real: a strict full load rejects it.
+			if _, _, err := ipleasing.LoadDatasetReport(dir, ipleasing.StrictLoad()); err == nil {
+				t.Fatalf("strict full load accepted the bad row in %s", path)
+			}
+
+			ctx, cancel := context.WithCancel(context.Background())
+			base, _, errc := startDaemonCtx(t, ctx, dir, Config{Strict: true})
+			defer stopDaemon(t, cancel, errc)
+
+			if code, body := getBody(t, base+"/readyz"); code != 200 {
+				t.Errorf("/readyz: code %d body %s", code, body)
+			}
+			code, body := getBody(t, base+"/loadreport")
+			var lr struct {
+				Strict  bool `json:"strict"`
+				Reports []struct {
+					Source string `json:"source"`
+				} `json:"reports"`
+			}
+			if err := json.Unmarshal([]byte(body), &lr); code != 200 || err != nil {
+				t.Fatalf("/loadreport: code %d err %v body %s", code, err, body)
+			}
+			var got []string
+			for _, r := range lr.Reports {
+				got = append(got, r.Source)
+			}
+			if !lr.Strict || strings.Join(got, " ") != strings.Join(served, " ") {
+				t.Errorf("/loadreport strict=%v sources %v, want strict sources %v", lr.Strict, got, served)
+			}
+			_, metrics := getBody(t, base+"/metrics")
+			if !strings.Contains(metrics, `ingest_parsed_records_total{source="whois/RIPE"}`) {
+				t.Error("/metrics lacks the served sources' ingest counters")
+			}
+			if strings.Contains(metrics, `ingest_parsed_records_total{source="geo"}`) {
+				t.Error("/metrics has an ingest counter for the unread geo source")
+			}
+		})
+	}
+}
+
 func TestBuilderUsage(t *testing.T) {
 	// The builder wires the config's dataset dir; a wrong dir errors on
 	// both the full and the delta path, and a failed delta build leaves

@@ -160,8 +160,12 @@ func Generate(cfg Config) *World { return synth.Generate(cfg) }
 // exercising the incremental reload path (see InferDelta).
 func Mutate(w *World, cfg MutateConfig) *MutateStats { return synth.Mutate(w, cfg) }
 
-// Dataset is a fully loaded dataset directory: everything the paper's
-// methodology consumes, parsed from its on-disk formats.
+// Dataset is a loaded dataset directory, parsed from its on-disk
+// formats. LoadDataset and LoadDatasetReport fill every field the
+// paper's methodology and its analyses consume. The serving loaders
+// (LoadAndInfer, LoadAndInferContext, LoadAndInferDelta) fill only the
+// inference inputs (Whois, Table, Rel, Orgs), RPKI and Load; the
+// remaining source fields stay nil.
 type Dataset struct {
 	Dir string
 
@@ -204,7 +208,7 @@ type Dataset struct {
 // the parser's original error. For skip-and-account ingestion of messy
 // inputs, with per-source diagnostics, see LoadDatasetReport.
 func LoadDataset(dir string) (*Dataset, error) {
-	ds, _, err := loadDataset(context.Background(), dir, StrictLoad())
+	ds, _, err := loadDataset(context.Background(), dir, StrictLoad(), allSources)
 	return ds, err
 }
 
@@ -212,7 +216,7 @@ func LoadDataset(dir string) (*Dataset, error) {
 // carries a telemetry trace, the per-source load stages are recorded as
 // spans (see LoadDatasetReportContext).
 func LoadDatasetContext(ctx context.Context, dir string) (*Dataset, error) {
-	ds, _, err := loadDataset(ctx, dir, StrictLoad())
+	ds, _, err := loadDataset(ctx, dir, StrictLoad(), allSources)
 	return ds, err
 }
 

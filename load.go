@@ -52,9 +52,8 @@ func LenientLoad() LoadOptions { return diag.Lenient() }
 // source's malformed-record rate exceeds LoadOptions.MaxErrorRate.
 var ErrLoadErrorRate = diag.ErrErrorRate
 
-// loadSources is the fixed report order: the five WHOIS registries first
-// (in whois.Registries order), then the two RIBs, then every auxiliary
-// source.
+// Report names of the sources after the RIBs, in report order (see
+// auxSources).
 const (
 	sourceASRel      = "asrel"
 	sourceAS2Org     = "as2org"
@@ -74,13 +73,19 @@ const (
 type LoadSummary struct {
 	// Strict records which policy produced the summary.
 	Strict bool
-	// Reports holds one report per source: whois/<RIR> for the five
-	// registries, bgp/<file> for the two RIBs, then asrel, as2org,
-	// hijackers, brokers, drop, rpki, truth, exclusions, eval-isps, geo.
+	// Reports holds one report per loaded source, in a fixed order:
+	// whois/<RIR> for the five registries, bgp/<file> for the two RIBs,
+	// then asrel, as2org, hijackers, brokers, drop, rpki, truth,
+	// exclusions, eval-isps, geo. LoadDataset and LoadDatasetReport load
+	// all seventeen; the LoadAndInfer entry points load only the ten the
+	// inference reads (whois, bgp, asrel, as2org, rpki) and report those.
 	Reports []*LoadReport
-	// SkippedAnalyses names the analyses the loaded dataset cannot run
-	// because their sources are missing (e.g. "abuse-correlation" without
-	// an ASN-DROP archive). Empty for a complete dataset.
+	// SkippedAnalyses names the analyses the dataset cannot run because
+	// their sources are missing (e.g. "abuse-correlation" without an
+	// ASN-DROP archive). Empty for a complete dataset. A source the load
+	// did not parse counts as missing when its file or directory is
+	// absent, so every entry point reports the same list whenever a full
+	// load of the directory succeeds.
 	SkippedAnalyses []string
 }
 
@@ -148,12 +153,6 @@ func (s *LoadSummary) String() string {
 	return b.String()
 }
 
-// missing reports whether a source's file or directory was absent.
-func (s *LoadSummary) missing(source string) bool {
-	r := s.Report(source)
-	return r == nil || r.Missing
-}
-
 // LoadDatasetReport loads a dataset directory under an explicit ingestion
 // policy and returns the per-source accounting alongside the dataset.
 //
@@ -170,7 +169,7 @@ func (s *LoadSummary) missing(source string) bool {
 // On error the partial summary is still returned so callers can see how
 // far the load got and which source failed.
 func LoadDatasetReport(dir string, opts LoadOptions) (*Dataset, *LoadSummary, error) {
-	return loadDataset(context.Background(), dir, opts)
+	return loadDataset(context.Background(), dir, opts, allSources)
 }
 
 // LoadDatasetReportContext is LoadDatasetReport under a context. When
@@ -179,7 +178,7 @@ func LoadDatasetReport(dir string, opts LoadOptions) (*Dataset, *LoadSummary, er
 // span annotated with the records and bytes it consumed — the per-stage
 // timing breakdown leaseinfer -trace dumps.
 func LoadDatasetReportContext(ctx context.Context, dir string, opts LoadOptions) (*Dataset, *LoadSummary, error) {
-	return loadDataset(ctx, dir, opts)
+	return loadDataset(ctx, dir, opts, allSources)
 }
 
 // LoadAndInfer loads a dataset directory under the given ingestion
@@ -190,30 +189,151 @@ func LoadDatasetReportContext(ctx context.Context, dir string, opts LoadOptions)
 // while the previous one keeps answering queries. On load failure the
 // partial summary is still returned so the failure can be surfaced in
 // health endpoints.
+//
+// The load is scoped to what the inference reads: the WHOIS dumps, the
+// RIBs, the relationship and organisation datasets, and the RPKI
+// archive (which InferDelta diffs). The geolocation panel, the abuse
+// and broker lists and the evaluation files are not parsed, so a
+// malformed row in one of them cannot fail a reload, and the returned
+// Dataset's Geo, Drop, Hijackers, Brokers, Truth, Exclusions and
+// EvalISPs are nil. Curate, AnalyzeGeo, AnalyzeAbuse, HijackerAnalysis
+// and WriteReport need a dataset from LoadDataset or LoadDatasetReport.
 func LoadAndInfer(dir string, opts LoadOptions, inferOpts Options) (*Dataset, *LoadSummary, *Result, error) {
 	return LoadAndInferContext(context.Background(), dir, opts, inferOpts)
 }
 
 // LoadAndInferContext is LoadAndInfer under a context, tracing the load
-// and inference stages when the context carries a telemetry trace.
+// and inference stages when the context carries a telemetry trace. Its
+// load is scoped like LoadAndInfer's.
 func LoadAndInferContext(ctx context.Context, dir string, opts LoadOptions, inferOpts Options) (*Dataset, *LoadSummary, *Result, error) {
-	ds, sum, err := loadDataset(ctx, dir, opts)
+	ds, sum, err := loadDataset(ctx, dir, opts, servingSources)
 	if err != nil {
 		return nil, sum, nil, err
 	}
 	return ds, sum, ds.InferContext(ctx, inferOpts), nil
 }
 
-// loadDataset is the single loader behind LoadDataset (strict) and
-// LoadDatasetReport (either policy). Structure mirrors the historical
-// loader: every independent source parses concurrently, then the RIB
-// tables merge in fixed order. Each source runs inside a "load.<source>"
-// span when ctx carries a telemetry trace; spans of an untraced context
-// are nil and free.
-func loadDataset(ctx context.Context, dir string, opts LoadOptions) (*Dataset, *LoadSummary, error) {
+// sourceSet selects the sources one load parses beyond the inference
+// core (the five WHOIS dumps and the two RIBs, which every load reads).
+// The entry point picks it: the analysis loaders parse everything, the
+// serving loaders only what the inference and the delta diff read.
+type sourceSet uint16
+
+const (
+	srcASRel sourceSet = 1 << iota
+	srcAS2Org
+	srcHijackers
+	srcBrokers
+	srcDrop
+	srcRPKI
+	srcTruth
+	srcExclusions
+	srcEvalISPs
+	srcGeo
+
+	// allSources is what LoadDataset and LoadDatasetReport parse.
+	allSources = srcGeo<<1 - 1
+	// servingSources is what Dataset.Pipeline and inputsOf read:
+	// relationships and organisations feed the classification, and RPKI
+	// feeds the delta diff's ROA-churn telemetry.
+	servingSources = srcASRel | srcAS2Org | srcRPKI
+)
+
+// auxSource is one source beyond the WHOIS dumps and RIBs: its report
+// name, its file or directory in the dataset, and the parse that fills
+// its Dataset field through a collector.
+type auxSource struct {
+	bit  sourceSet
+	name string
+	path string // relative to the dataset directory
+	dir  bool   // path names a directory rather than a file
+	load func(ds *Dataset, path string, c *diag.Collector) error
+}
+
+// present reports whether the source's file or directory exists — the
+// verdict a load of it would reach on whether it is missing.
+func (a auxSource) present(dir string) bool {
+	path := filepath.Join(dir, a.path)
+	if a.dir {
+		return dirExists(path)
+	}
+	_, err := os.Stat(path)
+	return err == nil
+}
+
+// auxSources lists the sources after the RIBs in report order.
+var auxSources = []auxSource{
+	{srcASRel, sourceASRel, synth.FileASRel, false, func(ds *Dataset, path string, c *diag.Collector) (err error) {
+		// AS relationships and the org mapping are the inference's core
+		// relatedness signal: required in both policies.
+		ds.Rel, err = loadFileWith(path, c, false, asrel.ParseWith)
+		return err
+	}},
+	{srcAS2Org, sourceAS2Org, synth.FileAS2Org, false, func(ds *Dataset, path string, c *diag.Collector) (err error) {
+		ds.Orgs, err = loadFileWith(path, c, false, as2org.ParseWith)
+		return err
+	}},
+	{srcHijackers, sourceHijackers, synth.FileHijackers, false, func(ds *Dataset, path string, c *diag.Collector) (err error) {
+		ds.Hijackers, err = loadFileWith(path, c, true, hijack.ParseWith)
+		return err
+	}},
+	{srcBrokers, sourceBrokers, synth.FileBrokers, false, func(ds *Dataset, path string, c *diag.Collector) (err error) {
+		ds.Brokers, err = loadFileWith(path, c, true, brokers.ParseWith)
+		return err
+	}},
+	{srcDrop, sourceDrop, synth.DirASNDrop, true, func(ds *Dataset, path string, c *diag.Collector) (err error) {
+		ds.Drop, err = spamhaus.LoadDirWith(path, c)
+		return err
+	}},
+	{srcRPKI, sourceRPKI, synth.DirRPKI, true, func(ds *Dataset, path string, c *diag.Collector) (err error) {
+		ds.RPKI, err = rpki.LoadDirWith(path, c)
+		return err
+	}},
+	{srcTruth, sourceTruth, synth.FileGroundTruth, false, func(ds *Dataset, path string, c *diag.Collector) (err error) {
+		ds.Truth, err = loadEvalFile(path, c, synth.ReadTruth)
+		c.AddParsed(len(ds.Truth))
+		return err
+	}},
+	{srcExclusions, sourceExclusions, synth.FileEvalExclusions, false, func(ds *Dataset, path string, c *diag.Collector) (err error) {
+		ds.Exclusions, err = loadEvalFile(path, c, synth.ReadPrefixList)
+		c.AddParsed(len(ds.Exclusions))
+		return err
+	}},
+	{srcEvalISPs, sourceEvalISPs, synth.FileEvalISPs, false, func(ds *Dataset, path string, c *diag.Collector) error {
+		isps, err := loadEvalFile(path, c, synth.ReadEvalISPs)
+		if err != nil {
+			return err
+		}
+		for _, isp := range isps {
+			ds.EvalISPs = append(ds.EvalISPs, ISPRef{Registry: isp.Registry, Name: isp.Name})
+		}
+		c.AddParsed(len(isps))
+		return nil
+	}},
+	{srcGeo, sourceGeo, synth.DirGeo, true, func(ds *Dataset, path string, c *diag.Collector) (err error) {
+		if !dirExists(path) {
+			// A dataset without a geo directory has always been valid;
+			// Geo stays nil and AnalyzeGeo returns nil.
+			c.SetFile(path)
+			c.MarkMissing()
+			return nil
+		}
+		ds.Geo, err = geoip.LoadDirWith(path, c)
+		return err
+	}},
+}
+
+// loadDataset is the single loader behind every entry point: the
+// analysis loaders pass allSources, the serving loaders servingSources.
+// Structure mirrors the historical loader: every independent source
+// parses concurrently, then the RIB tables merge in fixed order. Each
+// source runs inside a "load.<source>" span when ctx carries a
+// telemetry trace; spans of an untraced context are nil and free.
+// Sources outside set are neither parsed nor reported, and their
+// Dataset fields stay nil.
+func loadDataset(ctx context.Context, dir string, opts LoadOptions, set sourceSet) (*Dataset, *LoadSummary, error) {
 	defer relaxGCForLoad()()
 	ds := &Dataset{Dir: dir}
-	lenient := !opts.Strict
 
 	ribNames := []string{synth.FileRIBRouteviews, synth.FileRIBRIS}
 	ribs := make([]*bgp.Table, len(ribNames))
@@ -221,16 +341,6 @@ func loadDataset(ctx context.Context, dir string, opts LoadOptions) (*Dataset, *
 	for i, name := range ribNames {
 		ribCols[i] = diag.NewCollector("bgp/"+name, opts)
 	}
-	relC := diag.NewCollector(sourceASRel, opts)
-	orgC := diag.NewCollector(sourceAS2Org, opts)
-	hjC := diag.NewCollector(sourceHijackers, opts)
-	brC := diag.NewCollector(sourceBrokers, opts)
-	dropC := diag.NewCollector(sourceDrop, opts)
-	rpkiC := diag.NewCollector(sourceRPKI, opts)
-	truthC := diag.NewCollector(sourceTruth, opts)
-	exclC := diag.NewCollector(sourceExclusions, opts)
-	ispC := diag.NewCollector(sourceEvalISPs, opts)
-	geoC := diag.NewCollector(sourceGeo, opts)
 
 	// traced wraps one source's load in a "load.<source>" span; the
 	// span's records/bytes come from the collectors once the load ends.
@@ -278,65 +388,18 @@ func loadDataset(ctx context.Context, dir string, opts LoadOptions) (*Dataset, *
 			return nil
 		}))
 	}
-	g.Go(traced(sourceASRel, []*diag.Collector{relC}, func(context.Context) (err error) {
-		// AS relationships and the org mapping are the inference's core
-		// relatedness signal: required in both policies.
-		ds.Rel, err = loadFileWith(dir, synth.FileASRel, relC, false, asrel.ParseWith)
-		return err
-	}))
-	g.Go(traced(sourceAS2Org, []*diag.Collector{orgC}, func(context.Context) (err error) {
-		ds.Orgs, err = loadFileWith(dir, synth.FileAS2Org, orgC, false, as2org.ParseWith)
-		return err
-	}))
-	g.Go(traced(sourceHijackers, []*diag.Collector{hjC}, func(context.Context) (err error) {
-		ds.Hijackers, err = loadFileWith(dir, synth.FileHijackers, hjC, true, hijack.ParseWith)
-		return err
-	}))
-	g.Go(traced(sourceBrokers, []*diag.Collector{brC}, func(context.Context) (err error) {
-		ds.Brokers, err = loadFileWith(dir, synth.FileBrokers, brC, true, brokers.ParseWith)
-		return err
-	}))
-	g.Go(traced(sourceDrop, []*diag.Collector{dropC}, func(context.Context) (err error) {
-		ds.Drop, err = spamhaus.LoadDirWith(filepath.Join(dir, synth.DirASNDrop), dropC)
-		return err
-	}))
-	g.Go(traced(sourceRPKI, []*diag.Collector{rpkiC}, func(context.Context) (err error) {
-		ds.RPKI, err = rpki.LoadDirWith(filepath.Join(dir, synth.DirRPKI), rpkiC)
-		return err
-	}))
-	g.Go(traced(sourceTruth, []*diag.Collector{truthC}, func(context.Context) (err error) {
-		ds.Truth, err = loadEvalFile(dir, synth.FileGroundTruth, truthC, lenient, synth.ReadTruth)
-		truthC.AddParsed(len(ds.Truth))
-		return err
-	}))
-	g.Go(traced(sourceExclusions, []*diag.Collector{exclC}, func(context.Context) (err error) {
-		ds.Exclusions, err = loadEvalFile(dir, synth.FileEvalExclusions, exclC, lenient, synth.ReadPrefixList)
-		exclC.AddParsed(len(ds.Exclusions))
-		return err
-	}))
-	g.Go(traced(sourceEvalISPs, []*diag.Collector{ispC}, func(context.Context) error {
-		isps, err := loadEvalFile(dir, synth.FileEvalISPs, ispC, lenient, synth.ReadEvalISPs)
-		if err != nil {
-			return err
+	auxCols := make([]*diag.Collector, len(auxSources))
+	for i, src := range auxSources {
+		if set&src.bit == 0 {
+			continue
 		}
-		for _, isp := range isps {
-			ds.EvalISPs = append(ds.EvalISPs, ISPRef{Registry: isp.Registry, Name: isp.Name})
-		}
-		ispC.AddParsed(len(isps))
-		return nil
-	}))
-	g.Go(traced(sourceGeo, []*diag.Collector{geoC}, func(context.Context) (err error) {
-		geoDir := filepath.Join(dir, synth.DirGeo)
-		if !dirExists(geoDir) {
-			// A dataset without a geo directory has always been valid;
-			// Geo stays nil and AnalyzeGeo returns nil.
-			geoC.SetFile(geoDir)
-			geoC.MarkMissing()
-			return nil
-		}
-		ds.Geo, err = geoip.LoadDirWith(geoDir, geoC)
-		return err
-	}))
+		c := diag.NewCollector(src.name, opts)
+		auxCols[i] = c
+		load, path := src.load, filepath.Join(dir, src.path)
+		g.Go(traced(src.name, []*diag.Collector{c}, func(context.Context) error {
+			return load(ds, path, c)
+		}))
+	}
 	err := g.Wait()
 
 	sum := &LoadSummary{Strict: opts.Strict}
@@ -344,8 +407,10 @@ func loadDataset(ctx context.Context, dir string, opts LoadOptions) (*Dataset, *
 	for _, c := range ribCols {
 		sum.Reports = append(sum.Reports, c.Report())
 	}
-	for _, c := range []*diag.Collector{relC, orgC, hjC, brC, dropC, rpkiC, truthC, exclC, ispC, geoC} {
-		sum.Reports = append(sum.Reports, c.Report())
+	for _, c := range auxCols {
+		if c != nil {
+			sum.Reports = append(sum.Reports, c.Report())
+		}
 	}
 	if err != nil {
 		return nil, sum, err
@@ -370,7 +435,19 @@ func loadDataset(ctx context.Context, dir string, opts LoadOptions) (*Dataset, *
 	mergeSpan.AddRecords(int64(ds.Table.NumPrefixes()))
 	mergeSpan.End()
 	ds.trees = core.NewTreeCache()
-	sum.SkippedAnalyses = skippedAnalyses(sum, dir)
+
+	// A loaded source is missing when its report says so; an unloaded
+	// one when its file or directory is absent — the verdict its load
+	// would have reached, so both source sets skip the same analyses.
+	missing := make(map[string]bool, len(auxSources))
+	for i, src := range auxSources {
+		if c := auxCols[i]; c != nil {
+			missing[src.name] = c.Report().Missing
+		} else {
+			missing[src.name] = !src.present(dir)
+		}
+	}
+	sum.SkippedAnalyses = skippedAnalyses(missing, dir)
 	ds.Load = sum
 	return ds, sum, nil
 }
@@ -392,22 +469,22 @@ func finishLoadSpan(sp *telemetry.Span, cols []*diag.Collector) {
 
 // skippedAnalyses maps missing sources to the downstream analyses they
 // feed — the degradation matrix a lenient load reports instead of failing.
-func skippedAnalyses(sum *LoadSummary, dir string) []string {
+func skippedAnalyses(missing map[string]bool, dir string) []string {
 	var out []string
-	if sum.missing(sourceDrop) {
+	if missing[sourceDrop] {
 		out = append(out, "abuse-correlation") // §6.4 needs the ASN-DROP archive
 	}
-	if sum.missing(sourceRPKI) {
+	if missing[sourceRPKI] {
 		out = append(out, "roa-validation") // §6.4 ROA column needs VRPs
 	}
-	if sum.missing(sourceHijackers) {
+	if missing[sourceHijackers] {
 		out = append(out, "hijacker-overlap") // §6.3 needs the hijacker list
 	}
-	if sum.missing(sourceBrokers) || sum.missing(sourceTruth) ||
-		sum.missing(sourceExclusions) || sum.missing(sourceEvalISPs) {
+	if missing[sourceBrokers] || missing[sourceTruth] ||
+		missing[sourceExclusions] || missing[sourceEvalISPs] {
 		out = append(out, "evaluation") // §5.3 reference needs brokers + eval files
 	}
-	if sum.missing(sourceGeo) {
+	if missing[sourceGeo] {
 		out = append(out, "geolocation") // §8 extension needs the provider panel
 	}
 	if !dirExists(filepath.Join(dir, synth.DirTimeline)) {
@@ -423,10 +500,9 @@ func skippedAnalyses(sum *LoadSummary, dir string) []string {
 // missing optional file in lenient mode degrades to the zero value with
 // the report marked Missing; in strict mode (or for required files) the
 // open error propagates as before.
-func loadFileWith[T any](dir, name string, c *diag.Collector, optional bool,
+func loadFileWith[T any](path string, c *diag.Collector, optional bool,
 	parse func(io.Reader, *diag.Collector) (T, error)) (T, error) {
 	var zero T
-	path := filepath.Join(dir, name)
 	f, err := os.Open(path)
 	if err != nil {
 		if optional && !c.Strict() && os.IsNotExist(err) {
@@ -440,7 +516,7 @@ func loadFileWith[T any](dir, name string, c *diag.Collector, optional bool,
 	c.SetFile(path)
 	v, err := parse(f, c)
 	if err != nil {
-		return zero, fmt.Errorf("ipleasing: %s: %w", name, err)
+		return zero, fmt.Errorf("ipleasing: %s: %w", filepath.Base(path), err)
 	}
 	return v, nil
 }
@@ -450,9 +526,9 @@ func loadFileWith[T any](dir, name string, c *diag.Collector, optional bool,
 // in lenient mode a malformed file counts as a single skipped record and
 // the source drops out; a missing file is marked Missing. Strict mode
 // keeps the historical errors.
-func loadEvalFile[T any](dir, name string, c *diag.Collector, lenient bool,
+func loadEvalFile[T any](path string, c *diag.Collector,
 	parse func(io.Reader) ([]T, error)) ([]T, error) {
-	path := filepath.Join(dir, name)
+	lenient := !c.Strict()
 	f, err := os.Open(path)
 	if err != nil {
 		if lenient && os.IsNotExist(err) {
@@ -466,7 +542,7 @@ func loadEvalFile[T any](dir, name string, c *diag.Collector, lenient bool,
 	c.SetFile(path)
 	v, err := parse(f)
 	if err != nil {
-		err = fmt.Errorf("ipleasing: %s: %w", name, err)
+		err = fmt.Errorf("ipleasing: %s: %w", filepath.Base(path), err)
 		if lenient {
 			if serr := c.Skip(0, -1, err); serr != nil {
 				return nil, serr

@@ -47,8 +47,10 @@ go test -run 'TestFaultInjectionMatrix|TestCorruptDeterministic' .
 # mode: the delta path splices shared segment slices across the worker
 # pool and patches serving indexes concurrently consumed by lookups, so
 # byte-equivalence without the race detector proves half the claim.
-echo "== delta equivalence matrix + reload breaker (race-gated)"
-go test -race -run 'TestDeltaEquivalence|TestDeltaZeroChurnAliases|TestDeltaReloadBreaker' .
+# The serving-scoped load rides along: it changes the loader's
+# goroutine fan-out and feeds every delta reload.
+echo "== delta equivalence matrix + reload breaker + serving load (race-gated)"
+go test -race -run 'TestDeltaEquivalence|TestDeltaZeroChurnAliases|TestDeltaReloadBreaker|TestServingLoadMatchesFullLoad' .
 
 # ./internal/serve carries the lookup renderer's differential fuzzers:
 # the JSON string escaper against json.Marshal and the query scan
@@ -138,19 +140,19 @@ bench_json() {
 	'
 }
 
-echo "== benchmark smoke (BenchmarkTable1, BenchmarkLoadDataset, BenchmarkInferRegion, reload pair)"
+echo "== benchmark smoke (BenchmarkTable1, BenchmarkLoadDataset, BenchmarkInferRegion, reload trio)"
 # Time-based windows, not tiny fixed counts: BenchmarkTable1 allocates
 # ~2.6MB/op, and a 3-iteration run finishes before GC pressure builds,
 # understating the sustained cost by ~40%. A 1s window reports the
 # steady state the committed baselines must be comparable against.
-bench_out=$(go test -run '^$' -bench 'BenchmarkTable1$|BenchmarkLoadDataset$|BenchmarkFullReload$|BenchmarkDeltaReload$' -benchmem -benchtime 1s -count 3 .)
+bench_out=$(go test -run '^$' -bench 'BenchmarkTable1$|BenchmarkLoadDataset$|BenchmarkFullReload$|BenchmarkServingReload$|BenchmarkDeltaReload$' -benchmem -benchtime 1s -count 3 .)
 echo "$bench_out"
 infer_out=$(go test -run '^$' -bench 'BenchmarkInferRegion$' -benchmem -benchtime 1s -count 3 ./internal/core)
 echo "$infer_out"
 core_out=$(printf '%s\n%s' "$bench_out" "$infer_out" | bench_min)
 
 echo "== core bench regression gate (vs committed BENCH_core.json)"
-for b in BenchmarkTable1 BenchmarkLoadDataset BenchmarkInferRegion BenchmarkFullReload BenchmarkDeltaReload; do
+for b in BenchmarkTable1 BenchmarkLoadDataset BenchmarkInferRegion BenchmarkFullReload BenchmarkServingReload BenchmarkDeltaReload; do
 	bench_gate BENCH_core.json "$b" "$(bench_val "$core_out" "$b" ns/op)" "$(bench_val "$core_out" "$b" allocs/op)"
 done
 
@@ -169,6 +171,17 @@ awk -v d="$delta_ns" -v f="$full_ns" 'BEGIN { exit !(d * 5 <= f) }' || {
 	exit 1
 }
 echo "  ok: delta reload ${delta_ns} ns/op vs full reload ${full_ns} ns/op (>=5x)"
+
+# Hard gate on the serving-scoped load: the daemon's full reload parses
+# only the sources the inference reads, so it must cost at most 0.8x the
+# reload that parses every source. Absolute, like the gate above.
+serving_ns=$(bench_val "$core_out" BenchmarkServingReload ns/op)
+[ -n "$serving_ns" ] || { echo "FAIL: BenchmarkServingReload missing from bench output"; exit 1; }
+awk -v s="$serving_ns" -v f="$full_ns" 'BEGIN { exit !(s <= f * 0.8) }' || {
+	echo "FAIL: serving reload not <= 0.8x full reload: ${serving_ns} ns/op vs ${full_ns} ns/op"
+	exit 1
+}
+echo "  ok: serving reload ${serving_ns} ns/op vs full reload ${full_ns} ns/op (<=0.8x)"
 
 printf '%s\n' "$core_out" | bench_json > BENCH_core.json
 echo "== wrote BENCH_core.json"
