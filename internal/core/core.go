@@ -386,9 +386,9 @@ type Result struct {
 	RoutedSpace uint64
 
 	// flat, when non-nil, holds every inference contiguously in All
-	// order (registry order then prefix order). ApplyDelta materialises
-	// regions into this arena so Flat can serve the concatenation
-	// without the extra full-result copy All pays on every reload.
+	// order (registry order then prefix order). InferContext and
+	// ApplyDelta classify regions into this arena, so Flat can serve
+	// the concatenation without the extra full-result copy All pays.
 	flat []Inference
 }
 
@@ -432,7 +432,7 @@ func (r *Result) All() []Inference {
 // slice may alias the Result's internal storage and must be treated as
 // read-only; use it where the concatenation is long-lived and never
 // mutated (the serving snapshot). Falls back to a fresh All copy when
-// no arena was materialised (the full inference path).
+// no arena was materialised (a Result assembled by hand).
 func (r *Result) Flat() []Inference {
 	if r.flat != nil {
 		return r.flat
@@ -627,7 +627,7 @@ func (p *Pipeline) InferContext(ctx context.Context) *Result {
 		res.RoutedSpace = p.Table.RoutedAddressSpace()
 	}
 	// Fan out one goroutine per present registry, each writing its
-	// pre-assigned slot — no lock, no map writes from worker goroutines,
+	// pre-assigned slots — no lock, no map writes from worker goroutines,
 	// and the merge below is a deterministic in-order walk.
 	type regionWork struct {
 		reg whois.Registry
@@ -639,11 +639,34 @@ func (p *Pipeline) InferContext(ctx context.Context) *Result {
 			work = append(work, regionWork{reg: reg, db: db})
 		}
 	}
-	slots := make([]*RegionResult, len(work))
+	// Two passes. The first builds (or fetches from the cache) each
+	// registry's allocation tree, which fixes its output size; one arena
+	// sized to the total then backs every region, and the second pass
+	// classifies each region straight into its cap-limited window. Flat
+	// returns that arena, so the serving snapshot needs no second copy
+	// of every inference. A region's span covers both passes.
+	trees := make([]*cachedTree, len(work))
+	spans := make([]*telemetry.Span, len(work))
 	err := par.Each(len(work), func(i int) error {
-		w := work[i]
-		_, sp := telemetry.StartSpan(ctx, "infer."+w.reg.String())
-		rr, shards := p.inferRegion(w.db)
+		_, spans[i] = telemetry.StartSpan(ctx, "infer."+work[i].reg.String())
+		trees[i] = p.allocTree(work[i].db)
+		return nil
+	})
+	if err != nil {
+		panic(err) // recovered tree-build panic; re-panicked as below
+	}
+	offs := make([]int, len(work))
+	total := 0
+	for i, ct := range trees {
+		offs[i] = total
+		total += ct.totalOut
+	}
+	arena := make([]Inference, total)
+	slots := make([]*RegionResult, len(work))
+	err = par.Each(len(work), func(i int) error {
+		lo, hi := offs[i], offs[i]+trees[i].totalOut
+		rr, shards := p.classifyRegion(work[i].db, trees[i], arena[lo:hi:hi])
+		sp := spans[i]
 		sp.AddRecords(int64(len(rr.Inferences)))
 		sp.SetAttr("shards", strconv.Itoa(shards))
 		sp.End()
@@ -659,6 +682,7 @@ func (p *Pipeline) InferContext(ctx context.Context) *Result {
 	for i, w := range work {
 		res.Regions[w.reg] = slots[i]
 	}
+	res.flat = arena
 	return res
 }
 
@@ -708,10 +732,15 @@ func shardCount(nsegs int) int {
 // hot path stays lock-free. Returns the region result and the number
 // of shards used.
 func (p *Pipeline) inferRegion(db *whois.Database) (*RegionResult, int) {
-	rr := &RegionResult{Registry: db.Registry}
 	ct := p.allocTree(db)
+	return p.classifyRegion(db, ct, make([]Inference, ct.totalOut))
+}
+
+// classifyRegion is inferRegion over an already-resolved tree, writing
+// into out (len ct.totalOut), which becomes the region's Inferences.
+func (p *Pipeline) classifyRegion(db *whois.Database, ct *cachedTree, out []Inference) (*RegionResult, int) {
+	rr := &RegionResult{Registry: db.Registry}
 	workers := shardCount(len(ct.segs))
-	out := make([]Inference, ct.totalOut)
 	states := make([]*runState, workers)
 	counts := make([][numCategories]int, workers)
 	leaves := make([]int, workers)

@@ -60,7 +60,7 @@ type Config struct {
 	Data        string        // dataset directory
 	Addr        string        // listen address
 	Strict      bool          // strict ingestion: any malformed record fails a (re)load
-	Delta       bool          // incremental unforced reloads
+	Delta       bool          // incremental timer reloads (only with Reload > 0)
 	Reload      time.Duration // timer-driven reload period (0 disables)
 	Drain       time.Duration // graceful-shutdown budget
 	MaxInFlight int           // concurrent requests before shedding
@@ -134,18 +134,26 @@ func (c Config) logLevelOrDefault() string {
 	return c.LogLevel
 }
 
+// deltaReloads reports whether unforced reloads take the incremental
+// path: Delta is on and a reload timer issues them. The timer is the
+// only source of unforced reloads on a publisher (SIGHUP forces a full
+// rebuild), so without one a delta baseline is memory nothing reads.
+func (c Config) deltaReloads() bool { return c.Delta && c.Reload > 0 }
+
 // snapshotBuilder is the daemon's snapshot build step: one dataset load
-// under the configured ingestion policy plus one inference run. It
-// retains the previous load's Generation so unforced reloads can take
-// the incremental path: diff the refreshed dataset against it,
-// re-classify only the dirty allocation-forest roots, and patch the
-// previous snapshot's serving indexes instead of rebuilding them.
-// Holding the baseline costs one extra dataset generation of memory —
-// the price of diffing — which Delta=false avoids. That generation is
-// serving-scoped (see ipleasing.LoadAndInfer): it holds the WHOIS
-// objects, the merged routing table, the relationship and organisation
-// data and the RPKI archive the diff reads, not the geolocation panel,
-// abuse lists or evaluation files, which no reload parses.
+// under the configured ingestion policy plus one inference run. When
+// the config takes delta reloads (Delta with a Reload timer) it retains
+// the previous load's Generation so timer reloads can take the
+// incremental path: diff the refreshed dataset against it, re-classify
+// only the dirty allocation-forest roots, and patch the previous
+// snapshot's serving indexes instead of rebuilding them. Holding the
+// baseline costs one extra dataset generation of memory — the price of
+// diffing — which a daemon without a timer or with Delta=false never
+// pays. That generation is serving-scoped (see ipleasing.LoadAndInfer):
+// it holds the WHOIS objects, the merged routing table, the
+// relationship and organisation data and the RPKI archive the diff
+// reads, not the geolocation panel, abuse lists or evaluation files,
+// which no reload parses.
 type snapshotBuilder struct {
 	cfg  Config
 	opts ipleasing.LoadOptions
@@ -175,13 +183,15 @@ func (b *snapshotBuilder) getPrev() *ipleasing.Generation {
 }
 
 // buildFull is the full rebuild: load, infer everything, index from
-// scratch. The resulting generation becomes the next delta baseline.
+// scratch. With delta reloads on, the resulting generation becomes the
+// next delta baseline; otherwise the dataset is garbage once this
+// returns.
 func (b *snapshotBuilder) buildFull(ctx context.Context) (*serve.Snapshot, error) {
 	ds, sum, res, err := ipleasing.LoadAndInferContext(ctx, b.cfg.Data, b.opts, ipleasing.Options{})
 	if err != nil {
 		return nil, err
 	}
-	if b.cfg.Delta {
+	if b.cfg.deltaReloads() {
 		b.setPrev(&ipleasing.Generation{Dataset: ds, Summary: sum, Result: res})
 	}
 	snap := serve.NewSnapshot(res, sum.Reports, sum.SkippedAnalyses)
@@ -269,23 +279,11 @@ func newHTTPServer(cfg Config, h http.Handler) *http.Server {
 	}
 }
 
-// Run is the daemon body. It refuses to start without a first good
-// snapshot, then serves until SIGTERM/SIGINT (draining in-flight
-// requests), context cancellation, or a listener error. The ready
-// callback, when non-nil, is invoked with the bound address once the
-// listener is open (tests and the fleet harness bind :0 and need the
-// chosen port).
-func Run(ctx context.Context, cfg Config, logw io.Writer, ready func(addr string)) error {
-	logger, err := newLogger(cfg, logw)
-	if err != nil {
-		return err
-	}
-	reg := telemetry.NewRegistry()
-	snaps, err := newSnapshots(cfg, logger, reg)
-	if err != nil {
-		return err
-	}
-	b := newSnapshotBuilder(cfg)
+// serveConfig wires the serving layer for one daemon role: a publisher
+// builds from the dataset (incrementally on timer reloads when
+// deltaReloads), a replica builds from fetched snapshots on its poll
+// loop instead of a reload timer.
+func serveConfig(cfg Config, b *snapshotBuilder, snaps *snapshots, logger *telemetry.Logger, reg *telemetry.Registry) serve.Config {
 	scfg := serve.Config{
 		Build:          snaps.wrapBuild(b.buildFull),
 		ReloadEvery:    cfg.Reload,
@@ -307,12 +305,12 @@ func Run(ctx context.Context, cfg Config, logw io.Writer, ready func(addr string
 			Registry:   reg,
 		})
 	}
-	if cfg.Delta {
+	if cfg.deltaReloads() {
 		scfg.BuildDelta = snaps.wrapBuildDelta(b.buildDelta)
 	}
 	if snaps.replica() {
 		// Replica: the builder fetches encoded snapshots instead of
-		// loading Data; the poll loop below replaces the reload timer,
+		// loading Data; the poll loop Run starts replaces the reload timer,
 		// and the delta path is moot (nothing is inferred here).
 		scfg.Build = snaps.buildFromFetch
 		scfg.BuildDelta = nil
@@ -322,7 +320,26 @@ func Run(ctx context.Context, cfg Config, logw io.Writer, ready func(addr string
 		scfg.OnSwap = snaps.onSwap
 		scfg.Replication = snaps.replicationStatus
 	}
-	s := serve.New(scfg)
+	return scfg
+}
+
+// Run is the daemon body. It refuses to start without a first good
+// snapshot, then serves until SIGTERM/SIGINT (draining in-flight
+// requests), context cancellation, or a listener error. The ready
+// callback, when non-nil, is invoked with the bound address once the
+// listener is open (tests and the fleet harness bind :0 and need the
+// chosen port).
+func Run(ctx context.Context, cfg Config, logw io.Writer, ready func(addr string)) error {
+	logger, err := newLogger(cfg, logw)
+	if err != nil {
+		return err
+	}
+	reg := telemetry.NewRegistry()
+	snaps, err := newSnapshots(cfg, logger, reg)
+	if err != nil {
+		return err
+	}
+	s := serve.New(serveConfig(cfg, newSnapshotBuilder(cfg), snaps, logger, reg))
 	if snaps != nil {
 		s.Route("snapshot", "/snapshot/current", false, snaps.pub.ServeHTTP)
 	}

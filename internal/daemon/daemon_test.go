@@ -16,6 +16,8 @@ import (
 	"time"
 
 	"ipleasing"
+	"ipleasing/internal/serve"
+	"ipleasing/internal/telemetry"
 )
 
 func dataset(t *testing.T) string {
@@ -299,9 +301,10 @@ func TestStrictDaemonIgnoresUnreadSources(t *testing.T) {
 
 func TestBuilderUsage(t *testing.T) {
 	// The builder wires the config's dataset dir; a wrong dir errors on
-	// both the full and the delta path, and a failed delta build leaves
-	// no baseline generation behind.
-	b := newSnapshotBuilder(Config{Data: "does-not-exist", Strict: false, Delta: true})
+	// both the full and the delta path, and a failed build leaves no
+	// baseline generation behind — under a config (Delta with a reload
+	// timer) whose successful builds would keep one.
+	b := newSnapshotBuilder(Config{Data: "does-not-exist", Strict: false, Delta: true, Reload: time.Hour})
 	if _, err := b.buildFull(context.Background()); err == nil {
 		t.Fatal("full build over missing dir succeeded")
 	}
@@ -310,6 +313,74 @@ func TestBuilderUsage(t *testing.T) {
 	}
 	if b.getPrev() != nil {
 		t.Fatal("failed builds left a baseline generation")
+	}
+}
+
+// TestDeltaBaselineNeedsTimer pins when a publisher keeps the delta
+// baseline. Unforced reloads, the baseline's only reader, come only
+// from the reload timer, so only Delta with Reload > 0 keeps it; any
+// other publisher drops the parsed dataset after each build.
+func TestDeltaBaselineNeedsTimer(t *testing.T) {
+	dir := dataset(t)
+	ctx := context.Background()
+
+	t.Run("no timer", func(t *testing.T) {
+		cfg := Config{Data: dir, Delta: true}
+		b := newSnapshotBuilder(cfg)
+		if scfg := serveConfig(cfg, b, nil, nil, telemetry.NewRegistry()); scfg.BuildDelta != nil {
+			t.Error("BuildDelta wired without a reload timer")
+		}
+		if _, err := b.buildFull(ctx); err != nil {
+			t.Fatal(err)
+		}
+		if b.getPrev() != nil {
+			t.Error("no-timer publisher kept a delta baseline")
+		}
+	})
+
+	for _, tc := range []struct {
+		name     string
+		delta    bool
+		wantMode string
+	}{
+		{"timer with delta", true, serve.ModeDelta},
+		{"timer without delta", false, serve.ModeFull},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := Config{Data: dir, Delta: tc.delta, Reload: 20 * time.Millisecond}
+			b := newSnapshotBuilder(cfg)
+			scfg := serveConfig(cfg, b, nil, nil, telemetry.NewRegistry())
+			if (scfg.BuildDelta != nil) != tc.delta {
+				t.Fatalf("BuildDelta wired = %v, want %v", scfg.BuildDelta != nil, tc.delta)
+			}
+			s := serve.New(scfg)
+			if err := s.Reload(ctx, true); err != nil {
+				t.Fatal(err)
+			}
+			if kept := b.getPrev() != nil; kept != tc.delta {
+				t.Fatalf("baseline kept after boot = %v, want %v", kept, tc.delta)
+			}
+			lctx, cancel := context.WithCancel(ctx)
+			done := make(chan struct{})
+			go func() { defer close(done); s.ReloadLoop(lctx) }()
+			defer func() { cancel(); <-done }()
+			deadline := time.Now().Add(30 * time.Second)
+			for {
+				if ev := s.LastReload(); ev != nil && !ev.Forced {
+					if !ev.OK || ev.Mode != tc.wantMode {
+						t.Fatalf("first timer reload = %+v, want ok mode=%s", ev, tc.wantMode)
+					}
+					break
+				}
+				if time.Now().After(deadline) {
+					t.Fatal("no timer reload")
+				}
+				time.Sleep(5 * time.Millisecond)
+			}
+			if kept := b.getPrev() != nil; kept != tc.delta {
+				t.Errorf("baseline kept after timer reload = %v, want %v", kept, tc.delta)
+			}
+		})
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"io"
 	"math/rand"
 	"net/http"
+	"runtime/debug"
 	"sort"
 	"strconv"
 	"strings"
@@ -126,11 +127,13 @@ type Config struct {
 	// reproducible (tests, chaos-harness runs).
 	JitterSeed int64
 
-	// Test hooks: clock, interruptible sleep, and backoff jitter. Nil
-	// means real time / full jitter.
-	now    func() time.Time
-	sleep  func(ctx context.Context, d time.Duration) error
-	jitter func(max time.Duration) time.Duration
+	// Test hooks: clock, interruptible sleep, backoff jitter, and the
+	// heap return after a forced full reload. Nil means real time /
+	// full jitter / debug.FreeOSMemory.
+	now          func() time.Time
+	sleep        func(ctx context.Context, d time.Duration) error
+	jitter       func(max time.Duration) time.Duration
+	freeOSMemory func()
 }
 
 func (c *Config) withDefaults() Config {
@@ -170,6 +173,9 @@ func (c *Config) withDefaults() Config {
 				return nil
 			}
 		}
+	}
+	if out.freeOSMemory == nil {
+		out.freeOSMemory = debug.FreeOSMemory
 	}
 	if out.jitter == nil {
 		seed := out.JitterSeed
@@ -249,6 +255,11 @@ type Server struct {
 	m       serveMetrics
 
 	reloadMu sync.Mutex // serialises reload cycles; TryLock guards re-entry
+
+	// heapReturn coalesces the asynchronous heap returns forced full
+	// reloads request (see returnHeap): 0 idle, 1 running, 2 running
+	// with one more run requested.
+	heapReturn atomic.Int32
 
 	mu          sync.Mutex // guards the reload bookkeeping below
 	history     []ReloadEvent
@@ -721,6 +732,9 @@ func (s *Server) Reload(ctx context.Context, forced bool) error {
 				old.Release()
 			}
 			s.observeDelta(snap)
+			if forced && mode == ModeFull {
+				s.returnHeap()
+			}
 			reloadOK = true
 			s.finishReload(ReloadEvent{
 				At: start, OK: true, Forced: forced, Attempts: attempts,
@@ -744,6 +758,47 @@ func (s *Server) Reload(ctx context.Context, forced bool) error {
 		Error:      err.Error(),
 	})
 	return err
+}
+
+// returnHeap hands the garbage of a forced full rebuild back to the OS.
+// Such a reload (the boot load, SIGHUP) parses a whole dataset and runs
+// the whole inference, leaving a heap several times the serving state;
+// without a timer nothing allocates afterwards to trigger the next GC,
+// so that garbage would stay resident for the life of the process.
+// debug.FreeOSMemory runs a full GC and releases the freed spans. It
+// runs on its own goroutine, which ends when the release does and which
+// nothing waits for, so neither the first listen nor the reload waits
+// on it. Concurrent requests coalesce: a request while one runs
+// schedules exactly one more run, which also covers the later reload's
+// garbage. Timer reloads never call this: the next tick reuses the same
+// heap, and snapshot-mode reloads (a decoded or mapped generation)
+// build no dataset to free.
+func (s *Server) returnHeap() {
+	for {
+		switch s.heapReturn.Load() {
+		case 0:
+			if s.heapReturn.CompareAndSwap(0, 1) {
+				go s.runHeapReturn()
+				return
+			}
+		case 1:
+			if s.heapReturn.CompareAndSwap(1, 2) {
+				return
+			}
+		default:
+			return // a rerun is already pending
+		}
+	}
+}
+
+func (s *Server) runHeapReturn() {
+	for {
+		s.cfg.freeOSMemory()
+		if s.heapReturn.CompareAndSwap(1, 0) {
+			return
+		}
+		s.heapReturn.Store(1) // was 2: run once more for the pending request
+	}
 }
 
 // notifySwap runs the OnSwap observer with panic containment: the swap

@@ -3,8 +3,10 @@ package serve
 import (
 	"fmt"
 	"math/rand"
+	"path/filepath"
 	"testing"
 
+	"ipleasing"
 	"ipleasing/internal/core"
 	"ipleasing/internal/diag"
 	"ipleasing/internal/netutil"
@@ -254,5 +256,47 @@ func BenchmarkLookupBatch(b *testing.B) {
 	}
 	if len(dst) != len(addrs) {
 		b.Fatal(fmt.Sprintf("batch returned %d results", len(dst)))
+	}
+}
+
+// TestSnapshotSharesInferenceArena: after full inference and
+// NewSnapshot, the snapshot's flat arena is the only copy of the
+// inferences. Every region's Inferences is a cap-limited window of it,
+// the windows tile it in registry order, and so an append to one region
+// can never write into the next.
+func TestSnapshotSharesInferenceArena(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "ds")
+	if err := ipleasing.Generate(ipleasing.Config{Seed: 5, Scale: 0.005}).WriteDir(dir); err != nil {
+		t.Fatal(err)
+	}
+	_, sum, res, err := ipleasing.LoadAndInfer(dir, ipleasing.LenientLoad(), ipleasing.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap := NewSnapshot(res, sum.Reports, sum.SkippedAnalyses)
+	flat := snap.FlatInferences()
+	if len(flat) == 0 {
+		t.Fatal("empty arena")
+	}
+	off, regions := 0, 0
+	for _, reg := range whois.Registries {
+		rr, ok := snap.Result.Regions[reg]
+		if !ok || len(rr.Inferences) == 0 {
+			continue
+		}
+		regions++
+		if cap(rr.Inferences) != len(rr.Inferences) {
+			t.Errorf("%v: cap %d != len %d", reg, cap(rr.Inferences), len(rr.Inferences))
+		}
+		if off+len(rr.Inferences) > len(flat) || &rr.Inferences[0] != &flat[off] {
+			t.Fatalf("%v: inferences are not the arena window at %d", reg, off)
+		}
+		off += len(rr.Inferences)
+	}
+	if regions < 2 {
+		t.Fatalf("only %d non-empty regions; the world should span several registries", regions)
+	}
+	if off != len(flat) {
+		t.Errorf("region windows cover %d of %d arena entries", off, len(flat))
 	}
 }

@@ -39,3 +39,21 @@ func readPageFaults() (minflt, majflt uint64, ok bool) {
 	}
 	return minflt, majflt, true
 }
+
+// readResidentBytes returns the process's resident set size from
+// /proc/self/statm, whose second field counts resident pages.
+func readResidentBytes() (uint64, bool) {
+	b, err := os.ReadFile("/proc/self/statm")
+	if err != nil {
+		return 0, false
+	}
+	fields := strings.Fields(string(b))
+	if len(fields) < 2 {
+		return 0, false
+	}
+	pages, err := strconv.ParseUint(fields[1], 10, 64)
+	if err != nil {
+		return 0, false
+	}
+	return pages * uint64(os.Getpagesize()), true
+}

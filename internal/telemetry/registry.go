@@ -19,6 +19,7 @@ import (
 	"math"
 	"net/http"
 	"runtime"
+	"runtime/metrics"
 	"sort"
 	"strconv"
 	"strings"
@@ -57,6 +58,7 @@ func (k kind) String() string {
 type Registry struct {
 	mu   sync.RWMutex
 	fams map[string]*family
+	rt   *runtimeStats // set by RegisterRuntimeMetrics; refreshed per scrape
 }
 
 // NewRegistry returns an empty registry.
@@ -362,8 +364,10 @@ func (v *HistogramVec) With(values ...string) *Histogram {
 }
 
 // RegisterRuntimeMetrics adds the standard process self-observation
-// gauges (goroutines, heap, GC cycles, process start time) to the
-// registry. Heap numbers come from runtime.ReadMemStats at scrape time.
+// gauges (goroutines, heap, GC cycles, resident memory, process start
+// time) to the registry. The heap and GC gauges come from one
+// runtime/metrics read per scrape, which, unlike runtime.ReadMemStats,
+// does not stop the world.
 func (r *Registry) RegisterRuntimeMetrics() {
 	start := time.Now()
 	r.GaugeFunc("process_start_time_seconds",
@@ -372,23 +376,21 @@ func (r *Registry) RegisterRuntimeMetrics() {
 	r.GaugeFunc("go_goroutines",
 		"Number of live goroutines.",
 		func() float64 { return float64(runtime.NumGoroutine()) })
+	rt := r.runtimeSamples()
 	r.GaugeFunc("go_heap_alloc_bytes",
 		"Bytes of allocated heap objects.",
-		func() float64 {
-			var ms runtime.MemStats
-			runtime.ReadMemStats(&ms)
-			return float64(ms.HeapAlloc)
-		})
+		func() float64 { return rt.value(sampleHeapObjects) })
+	r.GaugeFunc("go_heap_released_bytes",
+		"Bytes of heap memory returned to the OS and not reused since.",
+		func() float64 { return rt.value(sampleHeapReleased) })
 	r.GaugeFunc("go_gc_cycles_total",
 		"Completed GC cycles since process start.",
-		func() float64 {
-			var ms runtime.MemStats
-			runtime.ReadMemStats(&ms)
-			return float64(ms.NumGC)
-		})
-	// Page-fault counters (Linux), read from /proc/self/stat at scrape
-	// time. With mmap-backed snapshot serving these are the cost model:
-	// major faults measure what actually hit disk.
+		func() float64 { return rt.value(sampleGCCycles) })
+	// Page-fault counters and the resident set (Linux), read from
+	// /proc/self at scrape time. With mmap-backed snapshot serving the
+	// fault counters are the cost model: major faults measure what
+	// actually hit disk. The resident set is what the process costs the
+	// host: serving state, mapped pages, and any heap not yet returned.
 	if _, _, ok := readPageFaults(); ok {
 		r.GaugeFunc("process_minor_page_faults_total",
 			"Cumulative minor page faults (page-cache hits) for the process.",
@@ -397,6 +399,57 @@ func (r *Registry) RegisterRuntimeMetrics() {
 			"Cumulative major page faults (disk reads) for the process.",
 			func() float64 { _, mj, _ := readPageFaults(); return float64(mj) })
 	}
+	if _, ok := readResidentBytes(); ok {
+		r.GaugeFunc("process_resident_memory_bytes",
+			"Resident set size of the process in bytes.",
+			func() float64 { n, _ := readResidentBytes(); return float64(n) })
+	}
+}
+
+// Indexes into runtimeStats.samples.
+const (
+	sampleHeapObjects = iota
+	sampleHeapReleased
+	sampleGCCycles
+	numRuntimeSamples
+)
+
+// runtimeStats holds the runtime/metrics samples behind the heap and GC
+// gauges. WritePrometheus refreshes them with one metrics.Read per
+// scrape, so the gauges of one scrape agree with each other.
+type runtimeStats struct {
+	mu      sync.Mutex
+	samples [numRuntimeSamples]metrics.Sample
+}
+
+// runtimeSamples returns the registry's runtime samples, creating them on
+// first use so repeated RegisterRuntimeMetrics calls share one set.
+func (r *Registry) runtimeSamples() *runtimeStats {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.rt == nil {
+		rt := &runtimeStats{}
+		rt.samples[sampleHeapObjects].Name = "/memory/classes/heap/objects:bytes" // MemStats.HeapAlloc
+		rt.samples[sampleHeapReleased].Name = "/memory/classes/heap/released:bytes"
+		rt.samples[sampleGCCycles].Name = "/gc/cycles/total:gc-cycles" // MemStats.NumGC
+		r.rt = rt
+	}
+	return r.rt
+}
+
+func (rt *runtimeStats) read() {
+	rt.mu.Lock()
+	metrics.Read(rt.samples[:])
+	rt.mu.Unlock()
+}
+
+func (rt *runtimeStats) value(i int) float64 {
+	rt.mu.Lock()
+	defer rt.mu.Unlock()
+	if v := rt.samples[i].Value; v.Kind() == metrics.KindUint64 {
+		return float64(v.Uint64())
+	}
+	return 0
 }
 
 // escapeLabelValue escapes a label value per the text exposition format.
@@ -467,7 +520,11 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 	for _, name := range names {
 		fams = append(fams, r.fams[name])
 	}
+	rt := r.rt
 	r.mu.RUnlock()
+	if rt != nil {
+		rt.read()
+	}
 
 	var b strings.Builder
 	for _, f := range fams {

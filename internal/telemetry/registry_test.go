@@ -3,6 +3,9 @@ package telemetry
 import (
 	"bytes"
 	"math"
+	"runtime"
+	"runtime/debug"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -239,15 +242,70 @@ func TestConcurrentInstruments(t *testing.T) {
 func TestRuntimeMetrics(t *testing.T) {
 	r := NewRegistry()
 	r.RegisterRuntimeMetrics()
+	r.RegisterRuntimeMetrics() // idempotent: one family and one sample set each
+	// A forced GC that returns memory guarantees a completed cycle and
+	// released heap for the gauges below.
+	debug.FreeOSMemory()
 	out := expose(t, r)
-	for _, fam := range []string{"go_goroutines", "go_heap_alloc_bytes", "process_start_time_seconds"} {
-		if !strings.Contains(out, fam+" ") {
-			t.Errorf("runtime metric %s missing:\n%s", fam, out)
+	for _, fam := range []string{"go_goroutines", "go_heap_alloc_bytes", "go_heap_released_bytes",
+		"go_gc_cycles_total", "process_start_time_seconds"} {
+		if v, ok := sampleValue(out, fam); !ok || v <= 0 {
+			t.Errorf("runtime metric %s = %v (present %v), want > 0:\n%s", fam, v, ok, out)
+		}
+	}
+	if strings.Count(out, "# TYPE go_heap_alloc_bytes ") != 1 {
+		t.Errorf("go_heap_alloc_bytes registered more than once:\n%s", out)
+	}
+	// The gauges keep their runtime.MemStats meanings.
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	if v, _ := sampleValue(out, "go_gc_cycles_total"); v > float64(ms.NumGC) || v == 0 {
+		t.Errorf("go_gc_cycles_total = %v, MemStats.NumGC = %d", v, ms.NumGC)
+	}
+	if _, ok := readResidentBytes(); ok {
+		v, present := sampleValue(out, "process_resident_memory_bytes")
+		if !present || v <= 0 {
+			t.Errorf("process_resident_memory_bytes = %v (present %v), want > 0", v, present)
+		}
+		if heap, _ := sampleValue(out, "go_heap_alloc_bytes"); v < heap/2 {
+			t.Errorf("resident set %v implausibly below live heap %v", v, heap)
 		}
 	}
 	if err := LintExposition([]byte(out)); err != nil {
 		t.Errorf("lint: %v", err)
 	}
+	// Concurrent scrapes share the one sample set (run under -race).
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 20; i++ {
+				var b bytes.Buffer
+				if err := r.WritePrometheus(&b); err != nil {
+					t.Error(err)
+					return
+				}
+				if v, _ := sampleValue(b.String(), "go_heap_alloc_bytes"); v <= 0 {
+					t.Errorf("concurrent scrape: go_heap_alloc_bytes = %v", v)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// sampleValue returns the value of the unlabeled sample name in an
+// exposition document.
+func sampleValue(doc, name string) (float64, bool) {
+	for _, line := range strings.Split(doc, "\n") {
+		if v, ok := strings.CutPrefix(line, name+" "); ok {
+			f, err := strconv.ParseFloat(v, 64)
+			return f, err == nil
+		}
+	}
+	return 0, false
 }
 
 func TestLintCatchesViolations(t *testing.T) {

@@ -297,7 +297,9 @@ echo "== telemetry: /metrics scrape smoke"
 # Boot the daemon on an ephemeral port against a small synthetic dataset,
 # scrape /metrics, and fail if any required family is missing. This is the
 # end-to-end proof that instrumentation is actually wired: registry ->
-# server routes -> diag bridge -> exposition.
+# server routes -> diag bridge -> exposition. The daemon runs without a
+# reload timer, so the memory families below report a publisher that
+# keeps no delta baseline and has returned its boot build's heap.
 scrape_dir=$(mktemp -d)
 leased_pid=""
 replica_pid=""
@@ -340,6 +342,10 @@ for family in \
 	snapshot_publish_total \
 	snapshot_bytes \
 	go_goroutines \
+	go_heap_alloc_bytes \
+	go_heap_released_bytes \
+	go_gc_cycles_total \
+	process_resident_memory_bytes \
 	process_start_time_seconds
 do
 	if ! printf '%s\n' "$metrics" | grep -q "^$family"; then
