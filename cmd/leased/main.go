@@ -65,17 +65,19 @@
 // Retry-After is honored: the replica suppresses polls for the hinted
 // duration, capped at one poll interval.
 //
-// By default on-disk generations are served zero-copy: the file is
-// memory-mapped, every section CRC is verified eagerly at open
-// (validate-then-trust — a corrupt file fails then, never mid-request),
-// and the serving indexes are views over the mapping, so a cold start
-// costs page-cache faults instead of a full decode and two daemons on
-// one host share the physical memory. Replicas with a -snapshot-dir
-// stream fetched bodies straight to disk and map the published file,
-// never buffering a snapshot on the heap. -snapshot-mmap=false forces
-// the materializing heap decode everywhere (the fallback that also
-// engages automatically on platforms or filesystems without mmap and
-// for previous-version generation files).
+// On-disk generations are served zero-copy: the file is memory-mapped,
+// every section CRC is verified eagerly at open (validate-then-trust —
+// a corrupt file fails then, never mid-request), and the serving
+// indexes are views over the mapping, so a cold start costs page-cache
+// faults instead of a full decode and two daemons on one host share
+// the physical memory. Replicas with a -snapshot-dir stream fetched
+// bodies straight to disk and map the published file, never buffering
+// a snapshot on the heap. There is no switch for this: the load mode
+// follows from what the daemon has. A replica without -snapshot-dir
+// decodes fetched bodies on the heap, and so does any daemon on a
+// platform or filesystem where mapping fails. A generation file of
+// another format version is skipped like a corrupt one: a publisher
+// re-infers, a replica re-fetches.
 //
 // Signals:
 //
@@ -88,7 +90,7 @@
 //	leased -data dataset [-addr 127.0.0.1:8402] [-strict] [-delta=true]
 //	       [-reload 24h] [-drain 10s] [-max-inflight 128] [-timeout 5s]
 //	       [-log-format text|json] [-log-level info] [-pprof]
-//	       [-snapshot-dir dir] [-snapshot-keep 4] [-snapshot-mmap=true]
+//	       [-snapshot-dir dir] [-snapshot-keep 4]
 //	       [-snapshot-url http://publisher:8402/snapshot/current] [-poll 15s]
 //	       [-trace-sample 0.01] [-trace-buffer 256] [-trace-seed 0]
 //
@@ -124,14 +126,10 @@ func main() {
 	flag.IntVar(&cfg.SnapshotKeep, "snapshot-keep", 4, "snapshot generations retained in -snapshot-dir (negative keeps all)")
 	flag.StringVar(&cfg.SnapshotURL, "snapshot-url", "", "replica mode: serve snapshots fetched from this publisher endpoint (e.g. http://host:8402/snapshot/current) instead of loading -data")
 	flag.DurationVar(&cfg.Poll, "poll", 15*time.Second, "replica poll period for new publisher generations")
-	mmap := flag.Bool("snapshot-mmap", true, "serve on-disk snapshot generations as zero-copy views over a memory-mapped file (false forces the materializing heap decode)")
 	flag.Float64Var(&cfg.TraceSample, "trace-sample", 0, "request-trace head-sampling rate in [0,1] (0 means the default 1%; negative disables tracing)")
 	flag.IntVar(&cfg.TraceBuffer, "trace-buffer", 0, "finished traces retained per collector ring (0 means the default 256)")
 	flag.Int64Var(&cfg.TraceSeed, "trace-seed", 0, "seed for trace IDs and the head sampler (0 draws from the clock)")
 	flag.Parse()
-	if !*mmap {
-		cfg.SnapshotLoadMode = "heap"
-	}
 	if err := daemon.Run(context.Background(), cfg, os.Stderr, nil); err != nil {
 		fmt.Fprintln(os.Stderr, "leased:", err)
 		os.Exit(1)

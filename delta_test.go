@@ -86,6 +86,38 @@ func snapshotProbe(t *testing.T, label string, got, want *serve.Snapshot) {
 	}
 }
 
+// checkASNOracle checks every LookupASN answer of snap against an index
+// built here from the arena alone — each leaf origin mapped to the
+// ascending arena indexes that carry it — so it shares no code with the
+// snapshot's own ASN index. An ASN outside the oracle must list
+// nothing.
+func checkASNOracle(t *testing.T, label string, snap *serve.Snapshot) {
+	t.Helper()
+	infs := snap.FlatInferences()
+	oracle := map[uint32][]int{}
+	var maxASN uint32
+	for i := range infs {
+		for _, asn := range infs[i].LeafOrigins {
+			oracle[asn] = append(oracle[asn], i)
+			maxASN = max(maxASN, asn)
+		}
+	}
+	for asn, idxs := range oracle {
+		list := snap.LookupASN(asn)
+		if len(list) != len(idxs) {
+			t.Fatalf("%s: ASN %d lists %d inferences, oracle says %d", label, asn, len(list), len(idxs))
+		}
+		for k, inf := range list {
+			if inf != &infs[idxs[k]] {
+				t.Fatalf("%s: ASN %d listing entry %d is not arena slot %d", label, asn, k, idxs[k])
+			}
+		}
+	}
+	if _, ok := oracle[maxASN+1]; !ok && len(snap.LookupASN(maxASN+1)) != 0 {
+		t.Fatalf("%s: ASN %d originates nothing but lists inferences", label, maxASN+1)
+	}
+}
+
 func TestDeltaEquivalence(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	ctx := context.Background()
@@ -109,6 +141,7 @@ func TestDeltaEquivalence(t *testing.T) {
 				}
 				want := rawResultBytes(t, refDS.Infer(opts))
 				wantSnap := serve.NewSnapshot(refDS.Infer(opts), nil, nil)
+				checkASNOracle(t, "full build", wantSnap)
 
 				// The 10% leg disables the churn threshold so the
 				// splice path is exercised under heavy dirtiness (with
@@ -156,6 +189,7 @@ func TestDeltaEquivalence(t *testing.T) {
 						snap = serve.NewSnapshot(gen.Result, nil, nil)
 					}
 					snapshotProbe(t, label, snap, wantSnap)
+					checkASNOracle(t, label+" "+rep.Mode, snap)
 				}
 			})
 		}

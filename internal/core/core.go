@@ -440,62 +440,6 @@ func (r *Result) Flat() []Inference {
 	return r.All()
 }
 
-// ResultFromFlat reconstructs a Result from a flat inference arena in
-// All order (registry runs in whois.Registries order, prefixes ordered
-// within each run) without re-running any classification: region slices
-// alias contiguous runs of the arena, and the per-region category counts
-// and leaf totals are re-tallied from the already-classified categories.
-// This is the cold-start path of the snapshot store — a decoded arena
-// becomes a servable Result in one O(n) pass. totalBGP and routedSpace
-// restore the Table-1 denominators the arena itself does not carry.
-//
-// The arena is validated, not trusted: registry values must be known and
-// must appear as non-interleaved runs in canonical order, and category
-// values must be in range; any violation returns an error so a corrupt
-// snapshot can never masquerade as a Result.
-func ResultFromFlat(flat []Inference, totalBGP int, routedSpace uint64) (*Result, error) {
-	res := &Result{
-		Regions:          make(map[whois.Registry]*RegionResult),
-		TotalBGPPrefixes: totalBGP,
-		RoutedSpace:      routedSpace,
-		flat:             flat,
-	}
-	regPos := make(map[whois.Registry]int, len(whois.Registries))
-	for i, reg := range whois.Registries {
-		regPos[reg] = i
-	}
-	lastPos := -1
-	for lo := 0; lo < len(flat); {
-		reg := flat[lo].Registry
-		pos, ok := regPos[reg]
-		if !ok {
-			return nil, fmt.Errorf("core: arena entry %d has unknown registry %d", lo, int(reg))
-		}
-		if pos <= lastPos {
-			return nil, fmt.Errorf("core: arena registry runs out of order at entry %d (%v)", lo, reg)
-		}
-		lastPos = pos
-		hi := lo + 1
-		for hi < len(flat) && flat[hi].Registry == reg {
-			hi++
-		}
-		rr := &RegionResult{Registry: reg, Inferences: flat[lo:hi:hi]}
-		for i := lo; i < hi; i++ {
-			c := flat[i].Category
-			if c < 0 || c >= numCategories {
-				return nil, fmt.Errorf("core: arena entry %d has category %d out of range", i, int(c))
-			}
-			rr.Counts[c]++
-			if c != Orphan {
-				rr.TotalLeaves++
-			}
-		}
-		res.Regions[reg] = rr
-		lo = hi
-	}
-	return res, nil
-}
-
 // NumCategories is the category count, exported for callers that tally
 // categories while streaming an arena (the snapshot restore path).
 const NumCategories = int(numCategories)
@@ -511,15 +455,23 @@ type RegionRun struct {
 	Counts   [numCategories]int
 }
 
-// ResultFromRuns is ResultFromFlat for callers that already walked the
-// arena once and tallied runs and counts along the way. The runs'
-// structure is validated exactly as ResultFromFlat would have: they
-// must tile the arena gaplessly, registries must be known and in
-// canonical order, and each run must be non-empty — but the per-record
-// registry and category bytes are the caller's to have checked during
-// its pass (snapshot restore rejects them record by record). Counts
-// are trusted from the caller's tally; they never index memory, so a
-// wrong tally can misreport Table 1 but never corrupt the process.
+// ResultFromRuns reconstructs a Result from a flat inference arena in
+// All order (registry runs in whois.Registries order, prefixes ordered
+// within each run) without re-running any classification, for callers
+// that already walked the arena once and tallied runs and category
+// counts along the way: region slices alias contiguous runs of the
+// arena, and per-region leaf totals derive from the counts. This is
+// the cold-start path of the snapshot store — a decoded arena becomes a
+// servable Result with no second pass. totalBGP and routedSpace restore
+// the Table-1 denominators the arena itself does not carry.
+//
+// The runs' structure is validated, not trusted: they must tile the
+// arena gaplessly, registries must be known and in canonical order,
+// and each run must be non-empty — but the per-record registry and
+// category bytes are the caller's to have checked during its pass
+// (snapshot restore rejects them record by record). Counts are trusted
+// from the caller's tally; they never index memory, so a wrong tally
+// can misreport Table 1 but never corrupt the process.
 func ResultFromRuns(flat []Inference, runs []RegionRun, totalBGP int, routedSpace uint64) (*Result, error) {
 	res := &Result{
 		Regions:          make(map[whois.Registry]*RegionResult),

@@ -73,12 +73,6 @@ type Config struct {
 	SnapshotKeep int           // generations retained in SnapshotDir
 	SnapshotURL  string        // replica mode: fetch snapshots from this publisher endpoint
 	Poll         time.Duration // replica poll period
-	// SnapshotLoadMode selects how on-disk snapshot generations are
-	// opened for serving: "" or "mmap" memory-maps v3 files (page-cache
-	// cold start, zero-copy serving, automatic heap fallback for legacy
-	// files or map failures); "heap" forces the materializing decode
-	// everywhere. cmd/leased maps -snapshot-mmap=false to "heap".
-	SnapshotLoadMode string
 
 	// HTTP server hardening bounds; zero means the package defaults
 	// above.

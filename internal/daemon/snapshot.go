@@ -75,11 +75,6 @@ func newSnapshots(cfg Config, log *telemetry.Logger, reg *telemetry.Registry) (*
 		metrics: snapstore.NewMetrics(reg),
 		pub:     snapstore.NewPublisher(),
 	}
-	switch cfg.SnapshotLoadMode {
-	case "", "mmap", "heap":
-	default:
-		return nil, fmt.Errorf("unknown snapshot load mode %q (want mmap or heap)", cfg.SnapshotLoadMode)
-	}
 	if cfg.SnapshotDir != "" {
 		st, err := snapstore.Open(cfg.SnapshotDir, snapstore.StoreOptions{
 			Keep:    cfg.SnapshotKeep,
@@ -93,7 +88,7 @@ func newSnapshots(cfg Config, log *telemetry.Logger, reg *telemetry.Registry) (*
 		if gen, ok := st.NewestGeneration(); ok {
 			d.nextGen.Store(gen)
 		}
-		ld, err := st.LoadCurrentOpen(snapstore.OpenOptions{ForceHeap: !d.mmapEnabled()})
+		ld, err := st.LoadCurrentOpen(snapstore.OpenOptions{})
 		switch {
 		case err == nil:
 			d.cold = ld.Snap
@@ -104,7 +99,7 @@ func newSnapshots(cfg Config, log *telemetry.Logger, reg *telemetry.Registry) (*
 				log.Warn("publishing cold snapshot failed", "generation", ld.Gen, "err", perr)
 			}
 			log.Info("cold start from snapshot store", "dir", cfg.SnapshotDir,
-				"generation", ld.Gen, "inferences", ld.Snap.NumInferences(), "load_mode", ld.Mode)
+				"generation", ld.Gen, "inferences", ld.Snap.NumInferences(), "load_mode", ld.Snap.LoadMode())
 		case errors.Is(err, snapstore.ErrNoSnapshot):
 			log.Info("snapshot store empty, first load will run inference", "dir", cfg.SnapshotDir)
 		default:
@@ -126,10 +121,6 @@ func newSnapshots(cfg Config, log *telemetry.Logger, reg *telemetry.Registry) (*
 // replica reports whether the daemon serves fetched snapshots instead
 // of loading a dataset.
 func (d *snapshots) replica() bool { return d != nil && d.fetcher != nil }
-
-// mmapEnabled reports whether on-disk generations should be opened
-// through the mapping path (the default; "heap" forces decode).
-func (d *snapshots) mmapEnabled() bool { return d.cfg.SnapshotLoadMode != "heap" }
 
 // backingOf converts a Loaded's concrete *Mapped to the serve.Backing
 // interface without producing a typed-nil interface for heap loads.
@@ -206,7 +197,7 @@ func (d *snapshots) wrapBuildDelta(build func(ctx context.Context, prev *serve.S
 // a replica that has never reached its publisher still starts from its
 // cache.
 func (d *snapshots) buildFromFetch(ctx context.Context) (*serve.Snapshot, error) {
-	if d.store != nil && d.mmapEnabled() {
+	if d.store != nil {
 		return d.buildFromFetchFile(ctx)
 	}
 	fetchCtx, fetchSpan := telemetry.StartSpan(ctx, "fetch")
@@ -285,7 +276,7 @@ func (d *snapshots) dropCold() {
 }
 
 // buildFromFetchFile is buildFromFetch for a replica with a local
-// store and mapping enabled: the body streams straight to a temp file
+// store: the body streams straight to a temp file
 // in the store directory (never buffered on the heap), is adopted as a
 // generation file, and the serving snapshot is opened as views over
 // the mapped file — so a replica reload's transient memory is one

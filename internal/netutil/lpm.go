@@ -1,8 +1,6 @@
 package netutil
 
 import (
-	"encoding/binary"
-	"fmt"
 	"math/bits"
 	"sort"
 )
@@ -253,102 +251,6 @@ func (t *LPM) Patch(remap []int32, ps []Prefix, dirty []int32) *LPM {
 	}
 	nt.buildRoot8()
 	return nt
-}
-
-// lpmWireNodeSize is the on-wire size of one encoded node: base u32,
-// val i32, two kid i32s, len u8. The node's mask is derived from len on
-// decode, so it is not carried.
-const lpmWireNodeSize = 4 + 4 + 4 + 4 + 1
-
-// AppendBinary appends the index's portable binary encoding to dst and
-// returns the extended slice. The encoding carries only the flat node
-// array (plus the duplicate flag); the stride-8 root table and the
-// per-node masks are derived values and are rebuilt by DecodeLPM. All
-// integers are little-endian; the layout is
-//
-//	u8  dups
-//	u32 node count
-//	node count × (u32 base, i32 val, i32 kid0, i32 kid1, u8 len)
-//
-// An empty (or zero-value) index encodes as dups=0, count=0.
-func (t *LPM) AppendBinary(dst []byte) []byte {
-	var dups byte
-	if t.dups {
-		dups = 1
-	}
-	dst = append(dst, dups)
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(t.nodes)))
-	for i := range t.nodes {
-		nd := &t.nodes[i]
-		dst = binary.LittleEndian.AppendUint32(dst, nd.base)
-		dst = binary.LittleEndian.AppendUint32(dst, uint32(nd.val))
-		dst = binary.LittleEndian.AppendUint32(dst, uint32(nd.kid[0]))
-		dst = binary.LittleEndian.AppendUint32(dst, uint32(nd.kid[1]))
-		dst = append(dst, nd.len)
-	}
-	return dst
-}
-
-// DecodeLPM parses an encoding produced by AppendBinary and rebuilds the
-// derived state (node masks, stride-8 root table). maxVal bounds the
-// value space: every stored val must be in [-1, maxVal), matching the
-// length of the input slice the index was built over, so a decoded index
-// can never hand out an index past the arena it serves. Every structural
-// invariant is checked — child indexes in range and non-self, prefix
-// lengths ≤ 32, a /0 anchor at node 0 — and any violation returns an
-// error rather than a partially-trusted index: the caller treats the
-// input as corrupt.
-func DecodeLPM(data []byte, maxVal int) (*LPM, error) {
-	if len(data) < 5 {
-		return nil, fmt.Errorf("netutil: LPM encoding truncated (%d bytes)", len(data))
-	}
-	dups := data[0]
-	if dups > 1 {
-		return nil, fmt.Errorf("netutil: LPM dups flag %d out of range", dups)
-	}
-	n := int(binary.LittleEndian.Uint32(data[1:5]))
-	rest := data[5:]
-	if len(rest) != n*lpmWireNodeSize {
-		return nil, fmt.Errorf("netutil: LPM encoding is %d bytes, want %d for %d nodes",
-			len(rest), n*lpmWireNodeSize, n)
-	}
-	t := &LPM{dups: dups == 1}
-	if n == 0 {
-		for b := range t.root8 {
-			t.root8[b] = lpmRootEntry{start: -1, best: -1}
-		}
-		return t, nil
-	}
-	t.nodes = make([]lpmNode, n)
-	for i := 0; i < n; i++ {
-		off := i * lpmWireNodeSize
-		nd := &t.nodes[i]
-		nd.base = binary.LittleEndian.Uint32(rest[off:])
-		nd.val = int32(binary.LittleEndian.Uint32(rest[off+4:]))
-		nd.kid[0] = int32(binary.LittleEndian.Uint32(rest[off+8:]))
-		nd.kid[1] = int32(binary.LittleEndian.Uint32(rest[off+12:]))
-		nd.len = rest[off+16]
-		if nd.len > 32 {
-			return nil, fmt.Errorf("netutil: LPM node %d has prefix length %d", i, nd.len)
-		}
-		nd.mask = maskOf(nd.len)
-		if nd.base&nd.mask != nd.base {
-			return nil, fmt.Errorf("netutil: LPM node %d has host bits set", i)
-		}
-		if nd.val < -1 || int(nd.val) >= maxVal {
-			return nil, fmt.Errorf("netutil: LPM node %d value %d outside [-1, %d)", i, nd.val, maxVal)
-		}
-		for _, k := range nd.kid {
-			if k < -1 || int(k) >= n || k == int32(i) {
-				return nil, fmt.Errorf("netutil: LPM node %d child index %d out of range", i, k)
-			}
-		}
-	}
-	if t.nodes[0].len != 0 || t.nodes[0].base != 0 {
-		return nil, fmt.Errorf("netutil: LPM root node is %v, want the /0 anchor", t.nodes[0].prefix())
-	}
-	t.buildRoot8()
-	return t, nil
 }
 
 // Lookup returns the input index of the longest inserted prefix

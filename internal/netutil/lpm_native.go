@@ -6,10 +6,11 @@ import (
 	"unsafe"
 )
 
-// Native LPM codec: the snapshot format v3 stores the node array in the
-// in-memory lpmNode layout (little-endian, 24-byte records) so a
-// memory-mapped snapshot can serve lookups directly from the file's
-// page cache — no per-node decode, no node allocation. AppendNative
+// Native LPM codec, the index's only byte encoding: the snapshot format
+// stores the node array in the in-memory lpmNode layout (little-endian,
+// 24-byte records) so a memory-mapped snapshot can serve lookups
+// directly from the file's page cache — no per-node decode, no node
+// allocation. AppendNative
 // always writes the portable byte-by-byte encoding; LPMFromNative
 // aliases the bytes as []lpmNode when the platform layout matches
 // (little-endian, asserted struct geometry) and falls back to a
@@ -44,10 +45,10 @@ func nativeLayoutMatches() bool {
 }
 
 // AppendNative appends the index's native binary encoding to dst and
-// returns the extended slice. Unlike AppendBinary it carries the
-// derived mask and pads each record to the in-memory node size, so a
-// reader on a matching platform can alias the records without any
-// per-node work. Layout (all little-endian):
+// returns the extended slice. It carries the derived mask and pads
+// each record to the in-memory node size, so a reader on a matching
+// platform can alias the records without any per-node work. Layout
+// (all little-endian):
 //
 //	u32 node count
 //	u8  dups, 3 zero pad
@@ -75,7 +76,10 @@ func (t *LPM) AppendNative(dst []byte) []byte {
 // aliasing data's records as the node array when the platform layout
 // permits — the caller must keep data immutable and alive for the
 // index's lifetime (the mmap refcount owns that in the snapshot path).
-// maxVal bounds the value space exactly as in DecodeLPM. Every record
+// maxVal bounds the value space: every stored val must be in
+// [-1, maxVal), the length of the input slice the index was built
+// over, so the index can never hand out a value past the arena it
+// serves. Every record
 // is validated before the index is returned — lengths, masks, host
 // bits, value range, child links, the /0 anchor, and zeroed padding —
 // so a damaged file fails here rather than corrupting a descent later.

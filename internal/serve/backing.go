@@ -1,8 +1,12 @@
 package serve
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
+
+	"ipleasing/internal/core"
 )
 
 // Backing is the lifecycle owner of memory a snapshot's indexes alias —
@@ -27,11 +31,12 @@ const (
 	// LoadModeBuilt marks a snapshot constructed in-process (full build,
 	// delta patch) — heap-owned, no backing lifecycle.
 	LoadModeBuilt = "built"
-	// LoadModeHeap marks a snapshot decoded from snapshot bytes into
-	// heap-owned indexes (the v2 path and every mmap fallback).
+	// LoadModeHeap marks a snapshot restored from snapshot bytes held on
+	// the heap: a fetched body, or a store generation on a platform (or
+	// filesystem) where mapping failed.
 	LoadModeHeap = "heap"
 	// LoadModeMmap marks a snapshot whose indexes are views over a
-	// memory-mapped snapshot file.
+	// memory-mapped snapshot file (a restored snapshot with a Backing).
 	LoadModeMmap = "mmap"
 )
 
@@ -43,9 +48,10 @@ type ASNViewEntry struct {
 	Cnt uint32
 }
 
-// ASNView is the byASN index as a pair of flat arrays instead of a
-// map-of-slices: sorted (ASN, offset, count) entries over one int32
-// slab. Both slices may alias a memory-mapped snapshot section — the
+// ASNView is the snapshot's ASN index: sorted (ASN, offset, count)
+// entries over one int32 slab of arena indexes, each run ascending. A
+// built snapshot owns both arrays on the heap; a restored one aliases
+// them from the snapshot bytes (possibly a memory-mapped file) — the
 // view allocates nothing and is never mutated, so it can serve straight
 // from the page cache. Lookup is a binary search; an ASN absent from
 // the entries originates nothing.
@@ -54,11 +60,46 @@ type ASNView struct {
 	slab    []int32
 }
 
+// buildASNView indexes an inference arena by leaf origin. One counting
+// pass sizes every ASN's run, the entries are sorted by ASN and laid
+// out back to back, and a fill pass writes each inference's arena index
+// into the runs of its origins — in arena order, so every run comes out
+// ascending without a sort.
+func buildASNView(infs []core.Inference) *ASNView {
+	counts := make(map[uint32]uint32)
+	total := 0
+	for i := range infs {
+		for _, asn := range infs[i].LeafOrigins {
+			counts[asn]++
+		}
+		total += len(infs[i].LeafOrigins)
+	}
+	entries := make([]ASNViewEntry, 0, len(counts))
+	for asn, n := range counts {
+		entries = append(entries, ASNViewEntry{ASN: asn, Cnt: n})
+	}
+	slices.SortFunc(entries, func(a, b ASNViewEntry) int { return cmp.Compare(a.ASN, b.ASN) })
+	off := uint32(0)
+	for i := range entries {
+		entries[i].Off = off
+		counts[entries[i].ASN] = off // from here on: the run's fill cursor
+		off += entries[i].Cnt
+	}
+	slab := make([]int32, total)
+	for i := range infs {
+		for _, asn := range infs[i].LeafOrigins {
+			slab[counts[asn]] = int32(i)
+			counts[asn]++
+		}
+	}
+	return &ASNView{entries: entries, slab: slab}
+}
+
 // NewASNView validates and wraps a decoded ASN index. Entries must be
 // strictly ascending by ASN (sorted, no duplicates), every run must lie
 // inside the slab, and every slab value in a referenced run must index
-// into an arena of arenaLen — the same invariants Restore checks on the
-// map form, enforced here once at open so lookups can trust the views.
+// into an arena of arenaLen — enforced here once at open so lookups can
+// trust the views.
 func NewASNView(entries []ASNViewEntry, slab []int32, arenaLen int) (*ASNView, error) {
 	for i := range entries {
 		e := &entries[i]
@@ -95,14 +136,10 @@ func (v *ASNView) Lookup(asn uint32) []int32 {
 	return v.slab[e.Off : e.Off+e.Cnt]
 }
 
-// Len returns the number of ASNs in the view.
-func (v *ASNView) Len() int { return len(v.entries) }
+// Entries returns the view's sorted entry array, and Slab the arena
+// indexes they address — the two arrays the snapshot codec writes
+// verbatim. Both alias the view; read-only.
+func (v *ASNView) Entries() []ASNViewEntry { return v.entries }
 
-// ForEach visits every (ASN, run) pair in ascending ASN order. The run
-// slice aliases the view; read-only.
-func (v *ASNView) ForEach(fn func(asn uint32, list []int32)) {
-	for i := range v.entries {
-		e := &v.entries[i]
-		fn(e.ASN, v.slab[e.Off:e.Off+e.Cnt])
-	}
-}
+// Slab returns the arena-index slab the entries address; see Entries.
+func (v *ASNView) Slab() []int32 { return v.slab }

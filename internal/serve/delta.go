@@ -2,7 +2,6 @@ package serve
 
 import (
 	"bytes"
-	"sort"
 
 	"ipleasing/internal/core"
 	"ipleasing/internal/diag"
@@ -47,10 +46,11 @@ type DeltaInfo struct {
 
 // PatchSnapshot indexes an incrementally-updated inference result by
 // patching the previous snapshot's serving indexes through the
-// PatchPlan instead of rebuilding them: surviving LPM values and
-// ASN-index entries are remapped in place, deleted ones dropped, and
-// only the re-classified flat slots are re-inserted. The result must be
-// the one ApplyDelta produced from prev.Result with plan.
+// PatchPlan instead of rebuilding them: surviving LPM values are
+// remapped in place, deleted ones dropped, and only the re-classified
+// flat slots are re-inserted. The ASN index is rebuilt from the new
+// arena. The result must be the one ApplyDelta produced from
+// prev.Result with plan.
 //
 // The returned snapshot answers every query byte-identically to
 // NewSnapshot(res, ...); Delta carries the patch statistics (Mode,
@@ -92,35 +92,9 @@ func PatchSnapshot(prev *Snapshot, res *core.Result, plan *core.PatchPlan, repor
 		s.Delta.LPMRebuilt = true
 	}
 
-	// ASN index: translate surviving entries through the remap (it is
-	// monotonic over non-negative values, so list order is preserved),
-	// append the re-classified slots, and re-sort only the lists they
-	// touched. prev.ByASN() (not the field) so a view-backed previous
-	// generation materializes its flat index instead of patching nothing.
-	prevByASN := prev.ByASN()
-	s.byASN = make(map[uint32][]int32, len(prevByASN))
-	for asn, list := range prevByASN {
-		nl := make([]int32, 0, len(list))
-		for _, j := range list {
-			if nj := plan.Remap[j]; nj >= 0 {
-				nl = append(nl, nj)
-			}
-		}
-		if len(nl) > 0 {
-			s.byASN[asn] = nl
-		}
-	}
-	touched := make(map[uint32]bool)
-	for _, ni := range plan.DirtyNext {
-		for _, asn := range s.infs[ni].LeafOrigins {
-			s.byASN[asn] = append(s.byASN[asn], ni)
-			touched[asn] = true
-		}
-	}
-	for asn := range touched {
-		l := s.byASN[asn]
-		sort.Slice(l, func(i, j int) bool { return l[i] < l[j] })
-	}
+	// The ASN index is rebuilt from the spliced arena by the same builder
+	// NewSnapshot uses, so it matches a full build by construction.
+	s.byASN = buildASNView(s.infs)
 
 	// Table 1 aggregates every region's counts; re-render it from the
 	// spliced result (cheap relative to classification).

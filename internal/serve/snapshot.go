@@ -17,7 +17,6 @@ package serve
 import (
 	"bytes"
 	"errors"
-	"fmt"
 	"sync/atomic"
 	"time"
 
@@ -66,12 +65,9 @@ type Snapshot struct {
 	table1 []byte
 	infs   []core.Inference
 	lpm    *netutil.LPM
-	// byASN holds flat indices into infs rather than pointers, so the
-	// delta path can translate an old generation's lists through a
-	// PatchPlan remap without chasing pointers into a retired array.
-	// View-backed snapshots carry asnView instead and leave byASN nil.
-	byASN   map[uint32][]int32
-	asnView *ASNView
+	// byASN holds flat indices into infs rather than pointers, so a
+	// restored snapshot can alias it straight from the snapshot bytes.
+	byASN *ASNView
 
 	// backing, when non-nil, owns memory the snapshot's indexes alias
 	// (a memory-mapped snapshot file). refs counts the holders keeping
@@ -125,9 +121,9 @@ func (s *Snapshot) Release() {
 }
 
 // LoadMode reports how the snapshot's indexes were materialized:
-// LoadModeBuilt (constructed in-process), LoadModeHeap (decoded from
-// snapshot bytes onto the heap), or LoadModeMmap (views over a mapped
-// file).
+// LoadModeBuilt (constructed in-process), LoadModeHeap (restored from
+// snapshot bytes on the heap), or LoadModeMmap (restored as views over
+// a mapped file — the restored snapshots with a backing).
 func (s *Snapshot) LoadMode() string {
 	if s.loadMode == "" {
 		return LoadModeBuilt
@@ -145,14 +141,10 @@ func NewSnapshot(res *core.Result, reports []*diag.LoadReport, skippedAnalyses [
 	}
 	s.infs = res.Flat()
 	ps := make([]netutil.Prefix, len(s.infs))
-	s.byASN = make(map[uint32][]int32)
 	for i := range s.infs {
-		inf := &s.infs[i]
-		ps[i] = inf.Prefix
-		for _, asn := range inf.LeafOrigins {
-			s.byASN[asn] = append(s.byASN[asn], int32(i))
-		}
+		ps[i] = s.infs[i].Prefix
 	}
+	s.byASN = buildASNView(s.infs)
 	// Index every leaf prefix in a flat LPM trie: address lookups become
 	// one short pointer-free descent instead of up to 25 map probes, and
 	// they allocate nothing, so batch endpoints and utilization sweeps
@@ -180,34 +172,21 @@ func (s *Snapshot) FlatInferences() []core.Inference { return s.infs }
 // snapshot codec. Read-only.
 func (s *Snapshot) LPM() *netutil.LPM { return s.lpm }
 
-// ByASN exposes the snapshot's ASN index — flat arena indexes per
-// originating ASN — for the snapshot codec and the delta patch path.
-// Read-only: neither the map nor its lists may be mutated. For a
-// view-backed snapshot the map is materialized on each call (those
-// callers — re-encode, delta patch — never run against mapped
-// snapshots in the daemon; this keeps them correct anyway).
-func (s *Snapshot) ByASN() map[uint32][]int32 {
-	if s.byASN == nil && s.asnView != nil {
-		m := make(map[uint32][]int32, s.asnView.Len())
-		s.asnView.ForEach(func(asn uint32, list []int32) {
-			m[asn] = append([]int32(nil), list...)
-		})
-		return m
-	}
-	return s.byASN
-}
+// ASNView exposes the snapshot's ASN index for the snapshot codec.
+// Read-only.
+func (s *Snapshot) ASNView() *ASNView { return s.byASN }
 
 // Restored carries decoded snapshot sections into Restore. Every field
-// is required except Delta.
+// is required except Delta and Backing.
 type Restored struct {
 	BuiltAt         time.Time
 	Generation      uint64
 	Provenance      string
 	Dir             string
 	Strict          bool
-	Result          *core.Result // must carry the flat arena (core.ResultFromFlat)
+	Result          *core.Result // must carry the flat arena (core.ResultFromRuns)
 	LPM             *netutil.LPM
-	ByASN           map[uint32][]int32
+	ByASNView       *ASNView // already validated (NewASNView)
 	Table1          []byte
 	Reports         []*diag.LoadReport
 	SkippedAnalyses []string
@@ -215,18 +194,11 @@ type Restored struct {
 	// store sets Mode to ModeSnapshot so reload accounting distinguishes
 	// decoded generations from full and delta builds.
 	Delta *DeltaInfo
-	// ByASNView is the flat alternative to ByASN used by the mmap open
-	// path (exactly one of the two may be set). It must already be
-	// validated (NewASNView).
-	ByASNView *ASNView
 	// Backing, when non-nil, owns the memory the decoded sections alias;
 	// the snapshot takes over one reference to it (refcount 1 at birth)
-	// and releases it when its own last reference drops.
+	// and releases it when its own last reference drops. It also labels
+	// the snapshot: LoadModeMmap with a backing, LoadModeHeap without.
 	Backing Backing
-	// LoadMode labels how the sections were materialized (LoadModeHeap /
-	// LoadModeMmap); empty defaults to LoadModeHeap for restored
-	// snapshots.
-	LoadMode string
 }
 
 // Restore assembles a servable Snapshot from already-decoded sections
@@ -238,16 +210,8 @@ type Restored struct {
 // still refuses structurally impossible combinations rather than serve
 // from them.
 func Restore(parts Restored) (*Snapshot, error) {
-	if parts.Result == nil || parts.LPM == nil {
-		return nil, errors.New("serve: restore needs a result and an LPM index")
-	}
-	infs := parts.Result.Flat()
-	for asn, list := range parts.ByASN {
-		for _, j := range list {
-			if j < 0 || int(j) >= len(infs) {
-				return nil, fmt.Errorf("serve: restore: ASN %d index %d outside arena of %d", asn, j, len(infs))
-			}
-		}
+	if parts.Result == nil || parts.LPM == nil || parts.ByASNView == nil {
+		return nil, errors.New("serve: restore needs a result, an LPM index and an ASN index")
 	}
 	s := &Snapshot{
 		BuiltAt:         parts.BuiltAt,
@@ -260,20 +224,14 @@ func Restore(parts Restored) (*Snapshot, error) {
 		SkippedAnalyses: parts.SkippedAnalyses,
 		Delta:           parts.Delta,
 		table1:          parts.Table1,
-		infs:            infs,
+		infs:            parts.Result.Flat(),
 		lpm:             parts.LPM,
-		byASN:           parts.ByASN,
-		asnView:         parts.ByASNView,
+		byASN:           parts.ByASNView,
 		backing:         parts.Backing,
-		loadMode:        parts.LoadMode,
-	}
-	if s.loadMode == "" {
-		s.loadMode = LoadModeHeap
-	}
-	if s.byASN == nil && s.asnView == nil {
-		s.byASN = make(map[uint32][]int32)
+		loadMode:        LoadModeHeap,
 	}
 	if s.backing != nil {
+		s.loadMode = LoadModeMmap
 		// The creation reference: whoever restored the snapshot owns it
 		// until the serving swap takes over (Server.Reload releases the
 		// retired snapshot's reference after the swap).
@@ -337,12 +295,7 @@ func (s *Snapshot) LookupAddrs(dst []*core.Inference, addrs []netutil.Addr) []*c
 // LookupASN returns every classified leaf prefix originated by the ASN,
 // in the result's registry-then-prefix order.
 func (s *Snapshot) LookupASN(asn uint32) []*core.Inference {
-	var idx []int32
-	if s.asnView != nil {
-		idx = s.asnView.Lookup(asn)
-	} else {
-		idx = s.byASN[asn]
-	}
+	idx := s.byASN.Lookup(asn)
 	if len(idx) == 0 {
 		return nil
 	}

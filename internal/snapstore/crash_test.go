@@ -4,7 +4,7 @@ package snapstore
 // re-exec'd) publishes generations in a tight loop and the parent kills
 // it with SIGKILL at seeded offsets — mid-write, mid-rename,
 // mid-manifest-update, wherever the clock lands. After every kill the
-// store must cold-start: LoadCurrent returns a generation that is
+// store must cold-start: LoadCurrentOpen returns a generation that is
 // complete and byte-identical in service to the original snapshot,
 // never a torn one.
 
@@ -119,14 +119,16 @@ func TestCrashSafePublish(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, gen, err := st.LoadCurrent()
+			ld, err := st.LoadCurrentOpen(OpenOptions{})
 			if err != nil {
 				t.Fatalf("cold start after SIGKILL: %v", err)
 			}
+			defer ld.Snap.Release()
+			gen := ld.Gen
 			if gen < 1 {
 				t.Fatalf("recovered generation %d, want >= 1", gen)
 			}
-			assertServesIdentical(t, fmt.Sprintf("post-SIGKILL gen %d", gen), got, want)
+			assertServesIdentical(t, fmt.Sprintf("post-SIGKILL gen %d", gen), ld.Snap, want)
 
 			// Torn artifacts may exist (a .tmp cut down mid-write); they
 			// must be invisible to the generation scan, and every complete
@@ -137,7 +139,7 @@ func TestCrashSafePublish(t *testing.T) {
 				t.Fatal(err)
 			}
 			if len(gens) == 0 || gens[0] != gen {
-				t.Fatalf("scan found generations %v but LoadCurrent served %d", gens, gen)
+				t.Fatalf("scan found generations %v but LoadCurrentOpen served %d", gens, gen)
 			}
 			for _, g := range gens {
 				data, err := os.ReadFile(filepath.Join(dir, genFileName(g)))

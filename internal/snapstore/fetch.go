@@ -531,7 +531,7 @@ func (w *crcTailWriter) finish() (uint64, *CorruptError) {
 	if stored := binary.LittleEndian.Uint32(w.lag[:]); stored != w.crc {
 		return 0, corrupt("file", "whole-file CRC mismatch", ErrChecksum)
 	}
-	_, gen, _, cerr := header(w.head)
+	gen, _, cerr := header(w.head)
 	if cerr != nil {
 		return 0, cerr
 	}

@@ -18,44 +18,33 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"sort"
 	"time"
 
-	"ipleasing/internal/core"
 	"ipleasing/internal/diag"
-	"ipleasing/internal/netutil"
 	"ipleasing/internal/serve"
-	"ipleasing/internal/whois"
 )
 
-// FormatVersion is the current snapshot format version — the only
-// version Encode writes. The decoder additionally accepts
-// LegacyVersion files (the previous on-disk generation survives a
-// process upgrade) through the fully materializing legacy path; any
-// other version is a clean typed rejection. Bump FormatVersion on ANY
-// layout change — a version mismatch is a clean typed rejection, a
-// silent layout drift is a corruption bug.
+// FormatVersion is the snapshot format version: the only version
+// Encode writes and the only version Decode and OpenFile accept. Any
+// other version — an older generation left on disk by a previous
+// release included — is a clean typed rejection (ErrBadVersion), which
+// the store's recovery scan treats like any corrupt generation: it
+// skips it, so a publisher re-infers and a replica re-fetches. Bump
+// FormatVersion on ANY layout change — a version mismatch is a clean
+// typed rejection, a silent layout drift is a corruption bug.
 //
-// Version history:
+// Version history (only v3 decodes):
 //
 //	1 — initial layout.
 //	2 — meta section gained a trailing provenance traceparent (the
 //	    publisher reload trace that built the generation).
 //	3 — relocatable mmap-servable layout: the varint arena/LPM/byASN
-//	    sections were replaced by offset-addressed, 8-aligned flat
-//	    sections (string table, u32 slab, fixed-width records, native
-//	    LPM nodes, flat ASN index) that serve.Snapshot and netutil.LPM
-//	    wrap as views over the raw bytes — from the heap or straight
-//	    from a memory-mapped file.
+//	    sections (IDs 2–4, now retired) were replaced by
+//	    offset-addressed, 8-aligned flat sections (string table, u32
+//	    slab, fixed-width records, native LPM nodes, flat ASN index)
+//	    that serve.Snapshot and netutil.LPM wrap as views over the raw
+//	    bytes — from the heap or straight from a memory-mapped file.
 const FormatVersion = 3
-
-// LegacyVersion is the one previous format version Decode still
-// accepts (heap-materializing path only — a legacy file is never
-// served from a mapping). One version of backward compatibility is the
-// whole policy: a fleet upgrades publisher and replicas one release at
-// a time, and a replica's store may hold the previous release's files,
-// but there is no archival migration path across more than one bump.
-const LegacyVersion = 2
 
 // magic identifies a snapshot file. 8 bytes, never changes; the version
 // field after it is what evolves.
@@ -64,18 +53,16 @@ const magic = "IPLSNAP1"
 // Section IDs. The section table makes sections self-describing, so a
 // future version can append new sections without disturbing this
 // decoder's view of the old ones — but removing or reshaping one
-// requires a FormatVersion bump.
+// requires a FormatVersion bump. IDs 2–4 belonged to the v2 varint
+// arena, LPM and ASN sections and are never reused.
 const (
 	secMeta    = 1 // build metadata: BuiltAt, Dir, Strict, totals, skipped analyses
-	secArena   = 2 // v2: flat inference arena, registry-major All order (varint)
-	secLPM     = 3 // v2: flat LPM node array (netutil.LPM wire form)
-	secByASN   = 4 // v2: ASN -> arena index lists (varint)
 	secTable1  = 5 // pre-rendered Markdown Table 1, verbatim bytes
 	secReports = 6 // per-source load accounting
 
-	// v3 relocatable sections. Every v3 payload starts at an 8-aligned
-	// file offset (the encoder zero-pads the gaps) so fixed-width
-	// records can be aliased in place.
+	// Relocatable sections. Every payload starts at an 8-aligned file
+	// offset (the encoder zero-pads the gaps) so fixed-width records can
+	// be aliased in place.
 	secStrTab      = 7  // interned string table: offsets + lengths into one blob
 	secU32Slab     = 8  // all ASN/origin list elements, one flat u32 array
 	secStrRefs     = 9  // all facilitator references, one flat string-ID array
@@ -145,8 +132,8 @@ func corrupt(section, reason string, err error) *CorruptError {
 
 // ---- encoding ----
 
-// appendUvarint, appendU32, appendU64, appendStr are the little-endian
-// building blocks shared by every section encoder.
+// appendUvarint, appendU32, appendU64, appendStr, appendStrs are the
+// little-endian building blocks shared by every section encoder.
 
 func appendU32(dst []byte, v uint32) []byte {
 	return binary.LittleEndian.AppendUint32(dst, v)
@@ -173,14 +160,6 @@ func appendStrs(dst []byte, ss []string) []byte {
 	return dst
 }
 
-func appendU32s(dst []byte, vs []uint32) []byte {
-	dst = binary.AppendUvarint(dst, uint64(len(vs)))
-	for _, v := range vs {
-		dst = binary.AppendUvarint(dst, uint64(v))
-	}
-	return dst
-}
-
 func encodeMeta(snap *serve.Snapshot) []byte {
 	res := snap.Result
 	b := make([]byte, 0, 64+len(snap.Dir))
@@ -200,46 +179,6 @@ func encodeMeta(snap *serve.Snapshot) []byte {
 	b = appendStr(b, snap.Dir)
 	b = appendStrs(b, snap.SkippedAnalyses)
 	b = appendStr(b, snap.Provenance)
-	return b
-}
-
-func encodeArena(infs []core.Inference) []byte {
-	b := make([]byte, 0, 64*len(infs)+16)
-	b = appendUvarint(b, uint64(len(infs)))
-	for i := range infs {
-		inf := &infs[i]
-		b = append(b, byte(inf.Registry), byte(inf.Category))
-		b = appendU32(b, uint32(inf.Prefix.Base))
-		b = append(b, inf.Prefix.Len)
-		b = appendU32(b, uint32(inf.Root.Base))
-		b = append(b, inf.Root.Len)
-		b = appendStr(b, inf.HolderOrg)
-		b = appendStr(b, inf.NetName)
-		b = appendStr(b, inf.Country)
-		b = appendU32s(b, inf.RootASNs)
-		b = appendU32s(b, inf.RootOrigins)
-		b = appendU32s(b, inf.LeafOrigins)
-		b = appendStrs(b, inf.Facilitators)
-	}
-	return b
-}
-
-func encodeByASN(byASN map[uint32][]int32) []byte {
-	asns := make([]uint32, 0, len(byASN))
-	for asn := range byASN {
-		asns = append(asns, asn)
-	}
-	sort.Slice(asns, func(i, j int) bool { return asns[i] < asns[j] })
-	b := make([]byte, 0, 8*len(asns)+16)
-	b = appendUvarint(b, uint64(len(asns)))
-	for _, asn := range asns {
-		list := byASN[asn]
-		b = appendUvarint(b, uint64(asn))
-		b = appendUvarint(b, uint64(len(list)))
-		for _, idx := range list {
-			b = appendUvarint(b, uint64(uint32(idx)))
-		}
-	}
 	return b
 }
 
@@ -280,17 +219,15 @@ type fileSection struct {
 }
 
 // encodeFile assembles the header, section table, payloads, and
-// whole-file CRC. When align is true every payload is placed at an
-// 8-aligned file offset with zero bytes in the gaps (the v3 layout
-// contract that makes fixed-width sections aliasable in place); the
-// header plus table is 8-aligned by construction (24 + 24n).
-func encodeFile(version uint32, gen uint64, sections []fileSection, align bool) []byte {
+// whole-file CRC. Every payload is placed at an 8-aligned file offset
+// with zero bytes in the gaps (the layout contract that makes
+// fixed-width sections aliasable in place); the header plus table is
+// 8-aligned by construction (24 + 24n).
+func encodeFile(gen uint64, sections []fileSection) []byte {
 	offs := make([]int, len(sections))
 	off := headerSize + len(sections)*sectionEntrySize
 	for i, s := range sections {
-		if align {
-			off = (off + 7) &^ 7
-		}
+		off = (off + 7) &^ 7
 		offs[i] = off
 		off += len(s.payload)
 	}
@@ -298,7 +235,7 @@ func encodeFile(version uint32, gen uint64, sections []fileSection, align bool) 
 
 	b := make([]byte, 0, total)
 	b = append(b, magic...)
-	b = appendU32(b, version)
+	b = appendU32(b, FormatVersion)
 	b = appendU64(b, gen)
 	b = appendU32(b, uint32(len(sections)))
 	for i, s := range sections {
@@ -317,11 +254,11 @@ func encodeFile(version uint32, gen uint64, sections []fileSection, align bool) 
 	return b
 }
 
-// Encode serializes a serving snapshot into the current (v3,
-// relocatable) binary form. The encoding reads only the snapshot's
-// immutable serving indexes — the flat arena, the LPM node array, the
-// ASN index, the pre-rendered Table 1, and the load accounting — so a
-// decoded snapshot answers every query byte-identically without
+// Encode serializes a serving snapshot into the relocatable binary
+// form. The encoding reads only the snapshot's immutable serving
+// indexes — the flat arena, the LPM node array, the ASN index's entry
+// and slab arrays, the pre-rendered Table 1, and the load accounting —
+// so a decoded snapshot answers every query byte-identically without
 // re-running inference or any index build, and an mmap open serves the
 // fixed-width sections in place without decoding them at all. gen is
 // the generation number stamped into the header.
@@ -334,28 +271,11 @@ func Encode(snap *serve.Snapshot, gen uint64) []byte {
 		{secStrRefs, strrefs},
 		{secRecords, records},
 		{secLPMNative, snap.LPM().AppendNative(nil)},
-		{secByASNNative, encodeByASNNative(snap.ByASN())},
+		{secByASNNative, encodeASNView(snap.ASNView())},
 		{secTable1, snap.Table1()},
 		{secReports, encodeReports(snap.Reports)},
 	}
-	return encodeFile(FormatVersion, gen, sections, true)
-}
-
-// EncodeLegacy serializes a snapshot into the previous (v2, varint)
-// layout. Production code always writes Encode's current format; this
-// exists so the legacy decode path — which must keep accepting the
-// previous release's on-disk generations — stays testable and
-// benchmarkable without checked-in binary fixtures.
-func EncodeLegacy(snap *serve.Snapshot, gen uint64) []byte {
-	sections := []fileSection{
-		{secMeta, encodeMeta(snap)},
-		{secArena, encodeArena(snap.FlatInferences())},
-		{secLPM, snap.LPM().AppendBinary(nil)},
-		{secByASN, encodeByASN(snap.ByASN())},
-		{secTable1, snap.Table1()},
-		{secReports, encodeReports(snap.Reports)},
-	}
-	return encodeFile(LegacyVersion, gen, sections, false)
+	return encodeFile(gen, sections)
 }
 
 // ---- decoding ----
@@ -398,14 +318,6 @@ func (r *reader) u8() byte {
 		return 0
 	}
 	return b[0]
-}
-
-func (r *reader) u32() uint32 {
-	b := r.take(4)
-	if b == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint32(b)
 }
 
 func (r *reader) u64() uint64 {
@@ -454,95 +366,6 @@ func (r *reader) str() string {
 		return ""
 	}
 	return string(b)
-}
-
-// strRef reads a string as a substring of blob — the single backing
-// buffer the legacy arena decode copies its payload into once — so a
-// section with tens of thousands of string fields costs one allocation
-// total instead of one per field. blob must be string(r.data).
-func (r *reader) strRef(blob string) string {
-	n := r.count("string length", 1)
-	if r.err != nil || n == 0 {
-		return ""
-	}
-	off := r.off
-	if r.take(n) == nil {
-		return ""
-	}
-	return blob[off : off+n]
-}
-
-// u32chunks hands out sub-slices of large shared blocks, so decoding
-// many tiny lists costs one allocation per block rather than per list.
-// Handed-out slices are capacity-capped and blocks are never grown in
-// place, so no later take can alias an earlier one.
-type u32chunks struct{ cur []uint32 }
-
-func (c *u32chunks) take(n int) []uint32 {
-	if cap(c.cur)-len(c.cur) < n {
-		size := 1 << 13
-		if n > size {
-			size = n
-		}
-		c.cur = make([]uint32, 0, size)
-	}
-	start := len(c.cur)
-	c.cur = c.cur[:start+n]
-	return c.cur[start : start+n : start+n]
-}
-
-// strchunks is u32chunks for string slices.
-type strchunks struct{ cur []string }
-
-func (c *strchunks) take(n int) []string {
-	if cap(c.cur)-len(c.cur) < n {
-		size := 1 << 10
-		if n > size {
-			size = n
-		}
-		c.cur = make([]string, 0, size)
-	}
-	start := len(c.cur)
-	c.cur = c.cur[:start+n]
-	return c.cur[start : start+n : start+n]
-}
-
-// u32listIn decodes a varint u32 list into chunk-allocated storage.
-func (r *reader) u32listIn(c *u32chunks) []uint32 {
-	n := r.count("u32 list", 1)
-	if n == 0 {
-		return nil
-	}
-	out := c.take(n)
-	for i := range out {
-		v := r.uvarint()
-		if v > 0xFFFFFFFF {
-			r.fail(fmt.Sprintf("u32 list element %d overflows", v), nil)
-			return nil
-		}
-		out[i] = uint32(v)
-	}
-	if r.err != nil {
-		return nil
-	}
-	return out
-}
-
-// strlistIn decodes a varint string list into chunk-allocated storage,
-// with every element a substring of blob.
-func (r *reader) strlistIn(c *strchunks, blob string) []string {
-	n := r.count("string list", 1)
-	if n == 0 {
-		return nil
-	}
-	out := c.take(n)
-	for i := range out {
-		out[i] = r.strRef(blob)
-	}
-	if r.err != nil {
-		return nil
-	}
-	return out
 }
 
 func (r *reader) strlist() []string {
@@ -599,93 +422,6 @@ func decodeMeta(payload []byte) (decodedMeta, *CorruptError) {
 	return m, nil
 }
 
-func decodeArena(payload []byte) ([]core.Inference, *CorruptError) {
-	r := &reader{data: payload, sec: "arena"}
-	// One inference is at least reg+cat+prefix+root+3 empty strings+4
-	// empty lists = 19 bytes on the wire.
-	n := r.count("inference", 19)
-	if r.err != nil {
-		return nil, r.err
-	}
-	// One backing buffer for every string field: each decoded string is
-	// a substring of blob, and each decoded list a sub-slice of a shared
-	// chunk — the arena's tens of thousands of per-field allocations
-	// collapse to a handful of block allocations (this was ~54k
-	// allocs/op in BenchmarkSnapshotDecode before).
-	blob := string(payload)
-	var u32s u32chunks
-	var strs strchunks
-	infs := make([]core.Inference, n)
-	for i := range infs {
-		inf := &infs[i]
-		inf.Registry = whois.Registry(r.u8())
-		inf.Category = core.Category(r.u8())
-		inf.Prefix = netutil.Prefix{Base: netutil.Addr(r.u32()), Len: r.u8()}
-		inf.Root = netutil.Prefix{Base: netutil.Addr(r.u32()), Len: r.u8()}
-		inf.HolderOrg = r.strRef(blob)
-		inf.NetName = r.strRef(blob)
-		inf.Country = r.strRef(blob)
-		inf.RootASNs = r.u32listIn(&u32s)
-		inf.RootOrigins = r.u32listIn(&u32s)
-		inf.LeafOrigins = r.u32listIn(&u32s)
-		inf.Facilitators = r.strlistIn(&strs, blob)
-		if r.err != nil {
-			return nil, r.err
-		}
-		if !inf.Prefix.Canonical() || !inf.Root.Canonical() {
-			r.fail(fmt.Sprintf("inference %d has a non-canonical prefix", i), nil)
-			return nil, r.err
-		}
-	}
-	r.done()
-	if r.err != nil {
-		return nil, r.err
-	}
-	return infs, nil
-}
-
-func decodeByASN(payload []byte, arenaLen int) (map[uint32][]int32, *CorruptError) {
-	r := &reader{data: payload, sec: "byasn"}
-	n := r.count("ASN entry", 3)
-	if r.err != nil {
-		return nil, r.err
-	}
-	byASN := make(map[uint32][]int32, n)
-	for i := 0; i < n; i++ {
-		asn := r.uvarint()
-		if asn > 0xFFFFFFFF {
-			r.fail("ASN overflows u32", nil)
-			return nil, r.err
-		}
-		ln := r.count("index list", 1)
-		if r.err != nil {
-			return nil, r.err
-		}
-		list := make([]int32, ln)
-		for j := range list {
-			idx := r.uvarint()
-			if idx >= uint64(arenaLen) {
-				r.fail(fmt.Sprintf("ASN %d index %d outside arena of %d", asn, idx, arenaLen), nil)
-				return nil, r.err
-			}
-			list[j] = int32(idx)
-		}
-		if r.err != nil {
-			return nil, r.err
-		}
-		if _, dup := byASN[uint32(asn)]; dup {
-			r.fail(fmt.Sprintf("duplicate ASN %d", asn), nil)
-			return nil, r.err
-		}
-		byASN[uint32(asn)] = list
-	}
-	r.done()
-	if r.err != nil {
-		return nil, r.err
-	}
-	return byASN, nil
-}
-
 func decodeReports(payload []byte) ([]*diag.LoadReport, *CorruptError) {
 	r := &reader{data: payload, sec: "reports"}
 	n := r.count("report", 13)
@@ -716,35 +452,32 @@ func decodeReports(payload []byte) ([]*diag.LoadReport, *CorruptError) {
 	return reports, nil
 }
 
-// header validates the fixed header and whole-file checksum, returning
-// the format version, the generation, and the section table region.
-// Shared by Decode and ReadGeneration so both reject non-snapshots
-// identically. Only FormatVersion and LegacyVersion pass.
-func header(data []byte) (ver uint32, gen uint64, nsect int, err *CorruptError) {
+// header validates the fixed header, returning the generation and the
+// section count. Shared by Decode, OpenFile and ReadGeneration so all
+// reject non-snapshots identically. Only FormatVersion passes.
+func header(data []byte) (gen uint64, nsect int, err *CorruptError) {
 	if len(data) < headerSize+4 {
-		return 0, 0, 0, corrupt("header", fmt.Sprintf("file of %d bytes is shorter than any snapshot", len(data)), ErrTruncated)
+		return 0, 0, corrupt("header", fmt.Sprintf("file of %d bytes is shorter than any snapshot", len(data)), ErrTruncated)
 	}
 	if string(data[:8]) != magic {
-		return 0, 0, 0, corrupt("header", "not a snapshot file", ErrBadMagic)
+		return 0, 0, corrupt("header", "not a snapshot file", ErrBadMagic)
 	}
-	ver = binary.LittleEndian.Uint32(data[8:12])
-	if ver != FormatVersion && ver != LegacyVersion {
-		return 0, 0, 0, corrupt("header", fmt.Sprintf("format version %d, want %d (or legacy %d)", ver, FormatVersion, LegacyVersion), ErrBadVersion)
+	if ver := binary.LittleEndian.Uint32(data[8:12]); ver != FormatVersion {
+		return 0, 0, corrupt("header", fmt.Sprintf("format version %d, want %d", ver, FormatVersion), ErrBadVersion)
 	}
 	gen = binary.LittleEndian.Uint64(data[12:20])
 	n := binary.LittleEndian.Uint32(data[20:24])
 	if n == 0 || n > maxSections {
-		return 0, 0, 0, corrupt("header", fmt.Sprintf("implausible section count %d", n), nil)
+		return 0, 0, corrupt("header", fmt.Sprintf("implausible section count %d", n), nil)
 	}
-	return ver, gen, int(n), nil
+	return gen, int(n), nil
 }
 
 // parseFile validates the header, checksums, and section table, and
-// returns the format version, generation, and per-section payload
-// slices (aliasing data). Every byte is proven before any section is
-// handed out — eager, not lazy — so a caller that goes on to alias
-// sections in place (the mmap path) has already validated everything
-// it will trust. The happy path pays exactly one scan: the whole-file
+// returns the generation and per-section payload slices (aliasing
+// data). Every byte is proven before any section is handed out — eager,
+// not lazy — so a caller that goes on to alias sections in place (the
+// mmap path) has already validated everything it will trust. The happy path pays exactly one scan: the whole-file
 // CRC covers the header, the section table, every payload, and the
 // alignment padding between them, so the per-section CRCs carry no
 // additional proof when it matches. They are the attribution pass: on
@@ -753,17 +486,17 @@ func header(data []byte) (ver uint32, gen uint64, nsect int, err *CorruptError) 
 // The validate-then-trust contract: after parseFile succeeds,
 // structural decoding may still reject the content, but no read past
 // a section's bounds and no checksum surprise is possible.
-func parseFile(data []byte) (ver uint32, gen uint64, payloads map[uint32][]byte, cerr *CorruptError) {
-	ver, gen, nsect, cerr := header(data)
+func parseFile(data []byte) (gen uint64, payloads map[uint32][]byte, cerr *CorruptError) {
+	gen, nsect, cerr := header(data)
 	if cerr != nil {
-		return 0, 0, nil, cerr
+		return 0, nil, cerr
 	}
 	body := len(data) - 4
 	fileCRC := binary.LittleEndian.Uint32(data[body:])
 
 	tableEnd := headerSize + nsect*sectionEntrySize
 	if tableEnd > body {
-		return 0, 0, nil, corrupt("header", "section table extends past file", ErrTruncated)
+		return 0, nil, corrupt("header", "section table extends past file", ErrTruncated)
 	}
 	type tableEntry struct {
 		id  uint32
@@ -780,13 +513,13 @@ func parseFile(data []byte) (ver uint32, gen uint64, payloads map[uint32][]byte,
 		ln := binary.LittleEndian.Uint64(e[12:20])
 		crc := binary.LittleEndian.Uint32(e[20:24])
 		if off < uint64(tableEnd) || off > uint64(body) || ln > uint64(body)-off {
-			return 0, 0, nil, corrupt("header", fmt.Sprintf("section %d extends past file", id), ErrTruncated)
+			return 0, nil, corrupt("header", fmt.Sprintf("section %d extends past file", id), ErrTruncated)
 		}
 		if _, dup := payloads[id]; dup {
-			return 0, 0, nil, corrupt("header", fmt.Sprintf("duplicate section %d", id), nil)
+			return 0, nil, corrupt("header", fmt.Sprintf("duplicate section %d", id), nil)
 		}
-		if ver == FormatVersion && off%8 != 0 {
-			return 0, 0, nil, corrupt(sectionName(id), fmt.Sprintf("v3 section at unaligned offset %d", off), nil)
+		if off%8 != 0 {
+			return 0, nil, corrupt(sectionName(id), fmt.Sprintf("section at unaligned offset %d", off), nil)
 		}
 		entries[i] = tableEntry{id: id, crc: crc, off: off, ln: ln}
 		payloads[id] = data[off : off+ln]
@@ -794,110 +527,40 @@ func parseFile(data []byte) (ver uint32, gen uint64, payloads map[uint32][]byte,
 	if crc32.Checksum(data[:body], castagnoli) != fileCRC {
 		for _, e := range entries {
 			if crc32.Checksum(data[e.off:e.off+e.ln], castagnoli) != e.crc {
-				return 0, 0, nil, corrupt(sectionName(e.id), "section CRC mismatch", ErrChecksum)
+				return 0, nil, corrupt(sectionName(e.id), "section CRC mismatch", ErrChecksum)
 			}
 		}
-		return 0, 0, nil, corrupt("file", "whole-file CRC mismatch", ErrChecksum)
+		return 0, nil, corrupt("file", "whole-file CRC mismatch", ErrChecksum)
 	}
-	var required []uint32
-	if ver == LegacyVersion {
-		required = []uint32{secMeta, secArena, secLPM, secByASN, secTable1, secReports}
-	} else {
-		required = []uint32{secMeta, secStrTab, secU32Slab, secStrRefs, secRecords,
-			secLPMNative, secByASNNative, secTable1, secReports}
-	}
-	for _, id := range required {
+	for _, id := range []uint32{secMeta, secStrTab, secU32Slab, secStrRefs, secRecords,
+		secLPMNative, secByASNNative, secTable1, secReports} {
 		if _, ok := payloads[id]; !ok {
-			return 0, 0, nil, corrupt(sectionName(id), "section missing", nil)
+			return 0, nil, corrupt(sectionName(id), "section missing", nil)
 		}
 	}
-	return ver, gen, payloads, nil
+	return gen, payloads, nil
 }
 
-// Decode validates and decodes a snapshot file, returning a fully
-// servable snapshot and its generation. The returned snapshot carries
-// Delta.Mode == serve.ModeSnapshot so reload accounting distinguishes
-// restored generations from full and delta builds.
-//
-// For current-format (v3) input the snapshot's indexes are views over
-// data — the caller must treat data as immutable for the snapshot's
-// lifetime (the GC keeps it alive). Legacy (v2) input is fully
-// materialized onto the heap and data is not retained.
+// Decode validates and decodes a snapshot file held on the heap,
+// returning a fully servable snapshot and its generation. The returned
+// snapshot carries Delta.Mode == serve.ModeSnapshot so reload
+// accounting distinguishes restored generations from full and delta
+// builds. Its indexes are views over data — the caller must treat data
+// as immutable for the snapshot's lifetime (the GC keeps it alive).
 //
 // Decode never returns a partial snapshot: any magic, version,
 // checksum, bounds, or structural failure yields (nil, 0, err) with
 // errors.Is(err, ErrCorrupt) true.
 func Decode(data []byte) (*serve.Snapshot, uint64, error) {
-	ver, gen, payloads, cerr := parseFile(data)
+	gen, payloads, cerr := parseFile(data)
 	if cerr != nil {
 		return nil, 0, cerr
 	}
-	if ver == LegacyVersion {
-		snap, err := decodeLegacy(payloads, gen)
-		if err != nil {
-			return nil, 0, err
-		}
-		return snap, gen, nil
-	}
-	snap, err := openV3(payloads, gen, nil, serve.LoadModeHeap)
+	snap, err := openV3(payloads, gen, nil)
 	if err != nil {
 		return nil, 0, err
 	}
 	return snap, gen, nil
-}
-
-// decodeLegacy materializes a v2 snapshot fully onto the heap.
-func decodeLegacy(payloads map[uint32][]byte, gen uint64) (*serve.Snapshot, error) {
-	meta, cerr := decodeMeta(payloads[secMeta])
-	if cerr != nil {
-		return nil, cerr
-	}
-	infs, cerr := decodeArena(payloads[secArena])
-	if cerr != nil {
-		return nil, cerr
-	}
-	if len(infs) != meta.arenaLen {
-		return nil, corrupt("arena", fmt.Sprintf("arena holds %d inferences, meta says %d", len(infs), meta.arenaLen), nil)
-	}
-	lpm, err := netutil.DecodeLPM(payloads[secLPM], len(infs))
-	if err != nil {
-		return nil, corrupt("lpm", "index rejected", err)
-	}
-	byASN, cerr := decodeByASN(payloads[secByASN], len(infs))
-	if cerr != nil {
-		return nil, cerr
-	}
-	reports, cerr := decodeReports(payloads[secReports])
-	if cerr != nil {
-		return nil, cerr
-	}
-
-	res, err := core.ResultFromFlat(infs, meta.totalBGP, meta.routedSpace)
-	if err != nil {
-		return nil, corrupt("arena", "result rejected", err)
-	}
-	// Copy table1 out of the input: a legacy decode promises not to
-	// retain (or alias) the file bytes, which is what lets the mmap
-	// open path fall back to this decoder and then drop its mapping.
-	table1 := append([]byte(nil), payloads[secTable1]...)
-	snap, err := serve.Restore(serve.Restored{
-		BuiltAt:         meta.builtAt,
-		Generation:      gen,
-		Provenance:      meta.provenance,
-		Dir:             meta.dir,
-		Strict:          meta.strict,
-		Result:          res,
-		LPM:             lpm,
-		ByASN:           byASN,
-		Table1:          table1,
-		Reports:         reports,
-		SkippedAnalyses: meta.skippedAnalyses,
-		Delta:           &serve.DeltaInfo{Mode: serve.ModeSnapshot},
-	})
-	if err != nil {
-		return nil, corrupt("snapshot", "restore rejected", err)
-	}
-	return snap, nil
 }
 
 // ReadGeneration extracts the generation number from an encoded
@@ -905,7 +568,7 @@ func decodeLegacy(payloads map[uint32][]byte, gen uint64) (*serve.Snapshot, erro
 // cheap integrity check a store or fetcher runs before committing to a
 // full decode.
 func ReadGeneration(data []byte) (uint64, error) {
-	_, gen, _, cerr := header(data)
+	gen, _, cerr := header(data)
 	if cerr != nil {
 		return 0, cerr
 	}
@@ -921,7 +584,7 @@ func ReadGeneration(data []byte) (uint64, error) {
 // validates the header and whole-file checksum first, so the publisher
 // can read it from bytes it is about to serve.
 func ReadProvenance(data []byte) (string, error) {
-	_, _, nsect, cerr := header(data)
+	_, nsect, cerr := header(data)
 	if cerr != nil {
 		return "", cerr
 	}
@@ -965,7 +628,7 @@ type SectionRange struct {
 // SectionRanges parses an intact snapshot's section table and returns
 // every section's payload range within the file.
 func SectionRanges(data []byte) ([]SectionRange, error) {
-	_, _, nsect, cerr := header(data)
+	_, nsect, cerr := header(data)
 	if cerr != nil {
 		return nil, cerr
 	}
@@ -992,12 +655,6 @@ func sectionName(id uint32) string {
 	switch id {
 	case secMeta:
 		return "meta"
-	case secArena:
-		return "arena"
-	case secLPM:
-		return "lpm"
-	case secByASN:
-		return "byasn"
 	case secTable1:
 		return "table1"
 	case secReports:

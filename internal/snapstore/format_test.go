@@ -3,6 +3,7 @@ package snapstore
 import (
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"hash/crc32"
 	"math/rand"
 	"testing"
@@ -85,16 +86,29 @@ func refixCRC(data []byte) []byte {
 	return out
 }
 
+// stampVersion re-stamps an encoded snapshot's format version and
+// re-fixes the file CRC, so the version check is the only thing that
+// can reject it.
+func stampVersion(data []byte, ver uint32) []byte {
+	mut := append([]byte(nil), data...)
+	binary.LittleEndian.PutUint32(mut[8:12], ver)
+	return refixCRC(mut)
+}
+
+// TestDecodeRejectsWrongVersion: only FormatVersion decodes. The
+// previous version (2) and any future one are the same typed rejection.
 func TestDecodeRejectsWrongVersion(t *testing.T) {
 	data := Encode(testSnapshot(t), 3)
-	mut := append([]byte(nil), data...)
-	binary.LittleEndian.PutUint32(mut[8:12], FormatVersion+1)
-	_, _, err := Decode(refixCRC(mut))
-	if !errors.Is(err, ErrBadVersion) {
-		t.Fatalf("wrong version: got %v, want ErrBadVersion", err)
-	}
-	if !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("wrong version: %v does not wrap ErrCorrupt", err)
+	for _, ver := range []uint32{2, FormatVersion + 1} {
+		t.Run(fmt.Sprintf("v%d", ver), func(t *testing.T) {
+			_, _, err := Decode(stampVersion(data, ver))
+			if !errors.Is(err, ErrBadVersion) {
+				t.Fatalf("version %d: got %v, want ErrBadVersion", ver, err)
+			}
+			if !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("version %d: %v does not wrap ErrCorrupt", ver, err)
+			}
+		})
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"runtime"
-	"sort"
 	"sync"
 	"unsafe"
 
@@ -15,11 +14,8 @@ import (
 	"ipleasing/internal/whois"
 )
 
-// Format v3: the relocatable, mmap-servable layout.
-//
-// Where v2 encoded the arena as a varint stream that had to be decoded
-// record by record (and every string materialized), v3 lays the same
-// data out as fixed-width, offset-addressed sections that the serving
+// Format v3: the relocatable, mmap-servable layout. The arena, LPM and
+// ASN index are fixed-width, offset-addressed sections that the serving
 // layer wraps as views over the raw bytes:
 //
 //	strtab   u32 count, u32 blobLen, count×(u32 off, u32 len), blob
@@ -140,34 +136,20 @@ func encodeV3Arena(infs []core.Inference) (strtab, u32slab, strrefs, records []b
 	return strtab, u32slab, strrefs, records
 }
 
-// encodeByASNNative flattens the ASN index into sorted fixed-width
-// entries over one arena-index slab. Empty lists are dropped (they
-// carry no information and the decoder rejects empty runs).
-func encodeByASNNative(byASN map[uint32][]int32) []byte {
-	asns := make([]uint32, 0, len(byASN))
-	slabLen := 0
-	for asn, list := range byASN {
-		if len(list) == 0 {
-			continue
-		}
-		asns = append(asns, asn)
-		slabLen += len(list)
+// encodeASNView writes the ASN index's entry and slab arrays as they
+// are: they are already sorted by ASN, with no empty runs.
+func encodeASNView(v *serve.ASNView) []byte {
+	entries, slab := v.Entries(), v.Slab()
+	b := make([]byte, 0, 8+12*len(entries)+4*len(slab))
+	b = appendU32(b, uint32(len(entries)))
+	b = appendU32(b, uint32(len(slab)))
+	for _, e := range entries {
+		b = appendU32(b, e.ASN)
+		b = appendU32(b, e.Off)
+		b = appendU32(b, e.Cnt)
 	}
-	sort.Slice(asns, func(i, j int) bool { return asns[i] < asns[j] })
-	b := make([]byte, 0, 8+12*len(asns)+4*slabLen)
-	b = appendU32(b, uint32(len(asns)))
-	b = appendU32(b, uint32(slabLen))
-	off := 0
-	for _, asn := range asns {
-		b = appendU32(b, asn)
-		b = appendU32(b, uint32(off))
-		b = appendU32(b, uint32(len(byASN[asn])))
-		off += len(byASN[asn])
-	}
-	for _, asn := range asns {
-		for _, idx := range byASN[asn] {
-			b = appendU32(b, uint32(idx))
-		}
+	for _, idx := range slab {
+		b = appendU32(b, uint32(idx))
 	}
 	return b
 }
@@ -539,10 +521,10 @@ func decodeByASNNative(payload []byte, arenaLen int) (*serve.ASNView, *CorruptEr
 // openV3 assembles a servable snapshot over already-CRC-verified v3
 // section payloads. backing, when non-nil, owns the payload memory (a
 // memory-mapped file); the restored snapshot takes over its creation
-// reference. With a nil backing the views alias heap bytes and the GC
-// owns the lifetime. mode labels the result (serve.LoadModeMmap /
-// LoadModeHeap) for /statusz and load-mode metrics.
-func openV3(payloads map[uint32][]byte, gen uint64, backing serve.Backing, mode string) (*serve.Snapshot, error) {
+// reference and is labelled serve.LoadModeMmap. With a nil backing the
+// views alias heap bytes, the GC owns the lifetime, and the label is
+// serve.LoadModeHeap.
+func openV3(payloads map[uint32][]byte, gen uint64, backing serve.Backing) (*serve.Snapshot, error) {
 	meta, cerr := decodeMeta(payloads[secMeta])
 	if cerr != nil {
 		return nil, cerr
@@ -653,7 +635,6 @@ func openV3(payloads map[uint32][]byte, gen uint64, backing serve.Backing, mode 
 		SkippedAnalyses: meta.skippedAnalyses,
 		Delta:           &serve.DeltaInfo{Mode: serve.ModeSnapshot},
 		Backing:         backing,
-		LoadMode:        mode,
 	})
 	if err != nil {
 		return nil, corrupt("snapshot", "restore rejected", err)

@@ -63,12 +63,8 @@ func (m *Mapped) Release() {
 
 // OpenOptions configures OpenFile.
 type OpenOptions struct {
-	// ForceHeap disables the mapping path: the file is read and decoded
-	// onto the heap exactly as a fetched body would be. Set by the
-	// daemon when the operator passes -snapshot-mmap=false.
-	ForceHeap bool
-	Logger    *telemetry.Logger
-	Metrics   *Metrics
+	Logger  *telemetry.Logger
+	Metrics *Metrics
 }
 
 // Loaded is a snapshot opened from a generation file.
@@ -80,25 +76,25 @@ type Loaded struct {
 	// otherwise. Publishers hand it to Publisher.SetMapped to serve
 	// /snapshot/current without a second copy.
 	Data []byte
-	// Backing is the mapping the snapshot serves from, nil in heap
-	// mode. The snapshot owns the creation reference; callers that keep
-	// Data past the snapshot's lifetime must Acquire their own.
+	// Backing is the mapping the snapshot serves from, nil when the file
+	// was decoded on the heap (Snap.LoadMode() says which). The snapshot
+	// owns the creation reference; callers that keep Data past the
+	// snapshot's lifetime must Acquire their own.
 	Backing *Mapped
-	// Mode is serve.LoadModeMmap or serve.LoadModeHeap.
-	Mode string
 }
 
-// OpenFile opens one snapshot generation file for serving. On a v3
-// file it maps the bytes (page cache, shared, read-only), hints
-// readahead, CRC-validates every section eagerly — validate-then-
-// trust: a corrupt file fails here with ErrCorrupt; a valid one is
-// never integrity-checked again — and assembles the snapshot as views
-// over the mapping: no per-record decode, interned strings built once,
-// near-zero allocations. A v2 (legacy) file, a mapping failure, or an
-// unsupported platform degrade to the heap path: read, full
-// materializing decode, same semantics, more RAM and startup time.
+// OpenFile opens one snapshot generation file for serving. It maps the
+// bytes (page cache, shared, read-only), hints readahead, CRC-validates
+// every section eagerly — validate-then-trust: a corrupt file, or one
+// of another format version, fails here with ErrCorrupt; a valid one
+// is never integrity-checked again — and assembles the snapshot as
+// views over the mapping: no per-record decode, interned strings built
+// once, near-zero allocations. A platform without mmap, or a mapping
+// that fails, degrades to reading the file onto the heap and decoding
+// it there — same views, same answers, the memory owned by the GC
+// instead of the page cache.
 func OpenFile(path string, opts OpenOptions) (*Loaded, error) {
-	if opts.ForceHeap || !mmapSupported {
+	if !mmapSupported {
 		return openHeap(path, opts)
 	}
 	f, err := os.Open(path)
@@ -125,34 +121,22 @@ func OpenFile(path string, opts OpenOptions) (*Loaded, error) {
 		return openHeap(path, opts)
 	}
 	madviseWillNeed(data)
-	ver, gen, _, cerr := header(data)
-	if cerr != nil {
-		munmapFile(data)
-		return nil, cerr
-	}
-	if ver == LegacyVersion {
-		// One version back loads, but not zero-copy: the v2 arena needs
-		// a materializing decode, so the mapping buys nothing.
-		munmapFile(data)
-		opts.Logger.Info("legacy snapshot version, decoding onto heap", "file", path, "version", ver)
-		return openHeap(path, opts)
-	}
-	_, _, payloads, cerr := parseFile(data)
+	gen, payloads, cerr := parseFile(data)
 	if cerr != nil {
 		munmapFile(data)
 		return nil, cerr
 	}
 	backing := newMapped(data, opts.Metrics)
-	snap, err := openV3(payloads, gen, backing, serve.LoadModeMmap)
+	snap, err := openV3(payloads, gen, backing)
 	if err != nil {
 		backing.Release()
 		return nil, err
 	}
 	opts.Metrics.observeLoadMode(serve.LoadModeMmap)
-	return &Loaded{Snap: snap, Gen: gen, Data: data, Backing: backing, Mode: serve.LoadModeMmap}, nil
+	return &Loaded{Snap: snap, Gen: gen, Data: data, Backing: backing}, nil
 }
 
-// openHeap is the materializing path: identical output, no mapping.
+// openHeap is the unmapped path: identical output, heap-held bytes.
 func openHeap(path string, opts OpenOptions) (*Loaded, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -163,5 +147,5 @@ func openHeap(path string, opts OpenOptions) (*Loaded, error) {
 		return nil, err
 	}
 	opts.Metrics.observeLoadMode(serve.LoadModeHeap)
-	return &Loaded{Snap: snap, Gen: gen, Data: data, Mode: serve.LoadModeHeap}, nil
+	return &Loaded{Snap: snap, Gen: gen, Data: data}, nil
 }

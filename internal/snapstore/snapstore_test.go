@@ -57,8 +57,9 @@ func testSnapshot(t testing.TB) *serve.Snapshot {
 // assertServesIdentical fails unless got answers every query surface
 // byte-identically to want: the pre-rendered Table 1, the JSON view of
 // every inference, address lookups at each leaf's first and last
-// address, every per-ASN listing, the load-report views, and the
-// snapshot metadata responses embed (BuiltAt, Dir, Strict).
+// address, every per-ASN listing (checked against a test-local ASN
+// oracle), the load-report views, and the snapshot metadata responses
+// embed (BuiltAt, Dir, Strict).
 func assertServesIdentical(t *testing.T, label string, got, want *serve.Snapshot) {
 	t.Helper()
 	if string(got.Table1()) != string(want.Table1()) {
@@ -110,21 +111,38 @@ func assertServesIdentical(t *testing.T, label string, got, want *serve.Snapshot
 		}
 	}
 
-	// ASN listings.
-	if g, w := len(got.ByASN()), len(want.ByASN()); g != w {
-		t.Fatalf("%s: ASN index size %d != %d", label, g, w)
+	// ASN listings, against an oracle that shares no code with the
+	// serving index: every leaf origin mapped to the ascending arena
+	// indexes that carry it, built here from the arena alone. Both
+	// snapshots must list exactly those slots of their own arena (whose
+	// views already matched index for index above), and an ASN outside
+	// the oracle must list nothing.
+	oracle := map[uint32][]int{}
+	var maxASN uint32
+	for i := range wantInfs {
+		for _, asn := range wantInfs[i].LeafOrigins {
+			oracle[asn] = append(oracle[asn], i)
+			maxASN = max(maxASN, asn)
+		}
 	}
-	for asn := range want.ByASN() {
-		g, err := json.Marshal(viewAll(got.LookupASN(asn)))
-		if err != nil {
-			t.Fatal(err)
+	for _, s := range []struct {
+		name string
+		snap *serve.Snapshot
+	}{{label, got}, {"original", want}} {
+		infs := s.snap.FlatInferences()
+		for asn, idxs := range oracle {
+			list := s.snap.LookupASN(asn)
+			if len(list) != len(idxs) {
+				t.Fatalf("%s: ASN %d lists %d inferences, oracle says %d", s.name, asn, len(list), len(idxs))
+			}
+			for k, inf := range list {
+				if inf != &infs[idxs[k]] {
+					t.Fatalf("%s: ASN %d listing entry %d is not arena slot %d", s.name, asn, k, idxs[k])
+				}
+			}
 		}
-		w, err := json.Marshal(viewAll(want.LookupASN(asn)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if string(g) != string(w) {
-			t.Fatalf("%s: ASN %d listing diverged", label, asn)
+		if _, ok := oracle[maxASN+1]; !ok && len(s.snap.LookupASN(maxASN+1)) != 0 {
+			t.Fatalf("%s: ASN %d originates nothing but lists inferences", s.name, maxASN+1)
 		}
 	}
 
@@ -140,12 +158,4 @@ func assertServesIdentical(t *testing.T, label string, got, want *serve.Snapshot
 	if string(g) != string(w) {
 		t.Errorf("%s: load report views diverged:\n got %s\nwant %s", label, g, w)
 	}
-}
-
-func viewAll(infs []*ipleasing.Inference) []*serve.InferenceView {
-	out := make([]*serve.InferenceView, len(infs))
-	for i, inf := range infs {
-		out[i] = serve.View(inf)
-	}
-	return out
 }

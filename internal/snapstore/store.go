@@ -1,11 +1,12 @@
 package snapstore
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -263,7 +264,7 @@ func (st *Store) generations() ([]uint64, error) {
 			gens = append(gens, gen)
 		}
 	}
-	sort.Slice(gens, func(i, j int) bool { return gens[i] > gens[j] })
+	slices.SortFunc(gens, func(a, b uint64) int { return cmp.Compare(b, a) })
 	return gens, nil
 }
 
@@ -307,54 +308,14 @@ func (st *Store) prune(current uint64) {
 	}
 }
 
-// LoadCurrent loads the newest valid generation: every generation file
-// is tried newest-first, and any torn, truncated, bit-flipped, or
-// wrong-version candidate is rejected by its checksums and skipped —
-// falling back generation by generation until one validates. Returns
-// ErrNoSnapshot when nothing on disk is loadable (the caller falls back
-// to a full dataset load).
-func (st *Store) LoadCurrent() (*serve.Snapshot, uint64, error) {
-	snap, gen, _, err := st.LoadCurrentEncoded()
-	return snap, gen, err
-}
-
-// LoadCurrentEncoded is LoadCurrent returning also the raw encoded
-// bytes of the loaded generation, so a publisher cold-starting from its
-// own store can serve /snapshot/current without re-encoding.
-func (st *Store) LoadCurrentEncoded() (*serve.Snapshot, uint64, []byte, error) {
-	gens, err := st.generations()
-	if err != nil {
-		st.metrics.observeLoad("error")
-		return nil, 0, nil, err
-	}
-	for _, gen := range gens {
-		name := genFileName(gen)
-		data, err := os.ReadFile(filepath.Join(st.dir, name))
-		if err != nil {
-			st.metrics.observeLoad("error")
-			st.log.Warn("snapshot unreadable, trying older generation", "file", name, "err", err)
-			continue
-		}
-		snap, fileGen, err := Decode(data)
-		if err != nil {
-			st.metrics.observeLoad("corrupt")
-			st.log.Warn("snapshot rejected, trying older generation", "file", name, "err", err)
-			continue
-		}
-		st.metrics.observeLoad("ok")
-		st.metrics.observeBytes(len(data))
-		st.log.Info("snapshot loaded", "generation", fileGen, "bytes", len(data), "file", name)
-		return snap, fileGen, data, nil
-	}
-	st.metrics.observeLoad("missing")
-	return nil, 0, nil, fmt.Errorf("%w in %s (%d candidates)", ErrNoSnapshot, st.dir, len(gens))
-}
-
-// LoadCurrentOpen is LoadCurrent through OpenFile: the newest valid
-// generation is opened for serving — memory-mapped when the file,
-// platform, and options allow, heap-decoded otherwise — falling back
-// generation by generation past anything unreadable or corrupt.
-// Returns ErrNoSnapshot when nothing on disk is loadable.
+// LoadCurrentOpen opens the newest valid generation for serving
+// through OpenFile — memory-mapped when the platform allows, decoded on
+// the heap otherwise. Every generation file is tried newest-first, and
+// any unreadable, torn, truncated, bit-flipped, or wrong-version
+// candidate is rejected and skipped — falling back generation by
+// generation until one validates. Returns ErrNoSnapshot when nothing on
+// disk is loadable (the caller falls back to a full dataset load, or a
+// replica to a fetch).
 func (st *Store) LoadCurrentOpen(opts OpenOptions) (*Loaded, error) {
 	if opts.Logger == nil {
 		opts.Logger = st.log
@@ -382,7 +343,7 @@ func (st *Store) LoadCurrentOpen(opts OpenOptions) (*Loaded, error) {
 		st.metrics.observeLoad("ok")
 		st.metrics.observeBytes(len(ld.Data))
 		st.log.Info("snapshot opened", "generation", ld.Gen, "bytes", len(ld.Data),
-			"file", name, "load_mode", ld.Mode)
+			"file", name, "load_mode", ld.Snap.LoadMode())
 		return ld, nil
 	}
 	st.metrics.observeLoad("missing")

@@ -22,7 +22,7 @@ func TestStorePublishLoadRoundTrip(t *testing.T) {
 	snap := testSnapshot(t)
 	st := openTestStore(t, StoreOptions{})
 
-	if _, _, err := st.LoadCurrent(); !errors.Is(err, ErrNoSnapshot) {
+	if _, err := st.LoadCurrentOpen(OpenOptions{}); !errors.Is(err, ErrNoSnapshot) {
 		t.Fatalf("empty store: %v, want ErrNoSnapshot", err)
 	}
 	if err := st.Publish(snap, 1); err != nil {
@@ -32,14 +32,15 @@ func TestStorePublishLoadRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	got, gen, err := st.LoadCurrent()
+	ld, err := st.LoadCurrentOpen(OpenOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if gen != 2 {
-		t.Fatalf("loaded generation %d, want 2", gen)
+	defer ld.Snap.Release()
+	if ld.Gen != 2 {
+		t.Fatalf("loaded generation %d, want 2", ld.Gen)
 	}
-	assertServesIdentical(t, "store round trip", got, snap)
+	assertServesIdentical(t, "store round trip", ld.Snap, snap)
 
 	if newest, ok := st.NewestGeneration(); !ok || newest != 2 {
 		t.Fatalf("NewestGeneration = %d, %v; want 2, true", newest, ok)
@@ -91,9 +92,54 @@ func TestStoreAllGenerationsCorrupt(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, _, err := st.LoadCurrent(); !errors.Is(err, ErrNoSnapshot) {
+	if _, err := st.LoadCurrentOpen(OpenOptions{}); !errors.Is(err, ErrNoSnapshot) {
 		t.Fatalf("all-corrupt store: %v, want ErrNoSnapshot", err)
 	}
+}
+
+// TestStoreSkipsLegacyVersion: a generation file of the previous format
+// version is skipped by the recovery scan like any corrupt one — an
+// intact older generation beneath it serves, and a store holding only
+// the old-version file has nothing loadable.
+func TestStoreSkipsLegacyVersion(t *testing.T) {
+	snap := testSnapshot(t)
+	writeGen := func(st *Store, gen uint64, data []byte) {
+		t.Helper()
+		if err := os.WriteFile(filepath.Join(st.Dir(), genFileName(gen)), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	legacy := stampVersion(Encode(snap, 2), 2)
+
+	t.Run("over-intact", func(t *testing.T) {
+		m := NewMetrics(telemetry.NewRegistry())
+		st := openTestStore(t, StoreOptions{Metrics: m})
+		if err := st.Publish(snap, 1); err != nil {
+			t.Fatal(err)
+		}
+		writeGen(st, 2, legacy)
+		ld, err := st.LoadCurrentOpen(OpenOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer ld.Snap.Release()
+		if ld.Gen != 1 {
+			t.Fatalf("served generation %d, want the intact generation 1", ld.Gen)
+		}
+		if v := m.load.With("corrupt").Value(); v != 1 {
+			t.Errorf("snapshot_load_total{outcome=corrupt} = %d, want 1", v)
+		}
+		if v := m.load.With("ok").Value(); v != 1 {
+			t.Errorf("snapshot_load_total{outcome=ok} = %d, want 1", v)
+		}
+	})
+	t.Run("alone", func(t *testing.T) {
+		st := openTestStore(t, StoreOptions{})
+		writeGen(st, 2, legacy)
+		if _, err := st.LoadCurrentOpen(OpenOptions{}); !errors.Is(err, ErrNoSnapshot) {
+			t.Fatalf("store holding only a v2 file: %v, want ErrNoSnapshot", err)
+		}
+	})
 }
 
 func TestStoreRefusesToPublishCorruptBytes(t *testing.T) {
@@ -122,9 +168,11 @@ func TestStoreMetricsOutcomes(t *testing.T) {
 		t.Fatal(err)
 	}
 	st.PublishEncoded([]byte("junk")) // counted as error
-	if _, _, err := st.LoadCurrent(); err != nil {
+	ld, err := st.LoadCurrentOpen(OpenOptions{})
+	if err != nil {
 		t.Fatal(err)
 	}
+	ld.Snap.Release()
 	if v := m.publish.With("ok").Value(); v != 1 {
 		t.Errorf("snapshot_publish_total{outcome=ok} = %d, want 1", v)
 	}

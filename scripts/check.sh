@@ -15,6 +15,12 @@ go vet ./...
 echo "== go build ./..."
 go build ./...
 
+# perfbench is its own Go module (replace ipleasing => ../), so the
+# root ./... patterns above never compile it: vet and test it here so
+# an API change that breaks the fleet benchmark fails this gate.
+echo "== perfbench: go vet + go test (separate module)"
+(cd perfbench && go vet ./... && go test ./...)
+
 if [ "$quick" = "0" ]; then
 	echo "== go test -race ./..."
 	go test -race ./...
@@ -191,16 +197,16 @@ echo "== snapshot persistence benchmarks (encode / decode / cold start / mmap)"
 # count 5, not 3: the cold-start bench touches disk, and on a shared
 # 1-CPU box host-steal bursts can outlast a 3-rep window — more reps
 # give the minimum a better chance of landing in a quiet interval.
-snap_out=$(go test -run '^$' -bench 'BenchmarkSnapshotEncode$|BenchmarkSnapshotDecode$|BenchmarkSnapshotColdStart$|BenchmarkSnapshotLegacyDecode$|BenchmarkSnapshotMmapColdStart$' -benchmem -benchtime 1s -count 5 . | bench_min)
+snap_out=$(go test -run '^$' -bench 'BenchmarkSnapshotEncode$|BenchmarkSnapshotDecode$|BenchmarkSnapshotColdStart$|BenchmarkSnapshotMmapColdStart$' -benchmem -benchtime 1s -count 5 . | bench_min)
 echo "$snap_out"
 
 echo "== snapshot bench regression gate (vs committed BENCH_snapshot.json)"
-for b in BenchmarkSnapshotEncode BenchmarkSnapshotDecode BenchmarkSnapshotColdStart BenchmarkSnapshotLegacyDecode BenchmarkSnapshotMmapColdStart; do
+for b in BenchmarkSnapshotEncode BenchmarkSnapshotDecode BenchmarkSnapshotColdStart BenchmarkSnapshotMmapColdStart; do
 	bench_gate BENCH_snapshot.json "$b" "$(bench_val "$snap_out" "$b" ns/op)" "$(bench_val "$snap_out" "$b" allocs/op)"
 done
 
 # Hard gate on the point of persistence: a cold start from the snapshot
-# store (scan + read + decode + validate) must beat the full
+# store (scan + map + validate, through LoadCurrentOpen) must beat the full
 # parse+infer+index reload it replaces by at least 5x ns/op. Absolute,
 # like the delta gate above — no baseline file can relax it.
 cold_ns=$(bench_val "$snap_out" BenchmarkSnapshotColdStart ns/op)
@@ -230,15 +236,7 @@ awk -v a="$mmap_allocs" 'BEGIN { exit !(a * 50 <= 54509) }' || {
 	echo "FAIL: mmap cold start not 50x under the pre-v3 alloc baseline: ${mmap_allocs} allocs/op vs 54509 allocs/op"
 	exit 1
 }
-# Live sanity companion: mapping must never be slower than decoding the
-# same store's legacy v2 bytes onto the heap.
-legacy_ns=$(bench_val "$snap_out" BenchmarkSnapshotLegacyDecode ns/op)
-[ -n "$legacy_ns" ] || { echo "FAIL: BenchmarkSnapshotLegacyDecode missing from bench output"; exit 1; }
-awk -v m="$mmap_ns" -v l="$legacy_ns" 'BEGIN { exit !(m + 0 <= l + 0) }' || {
-	echo "FAIL: mmap cold start slower than legacy v2 heap decode: ${mmap_ns} ns/op vs ${legacy_ns} ns/op"
-	exit 1
-}
-echo "  ok: mmap cold start ${mmap_ns} ns/op, ${mmap_allocs} allocs/op (gates: 5x/50x vs pre-v3 baseline; <= legacy decode ${legacy_ns} ns/op)"
+echo "  ok: mmap cold start ${mmap_ns} ns/op, ${mmap_allocs} allocs/op (gates: 5x/50x vs pre-v3 baseline)"
 
 printf '%s\n' "$snap_out" | bench_json > BENCH_snapshot.json
 echo "== wrote BENCH_snapshot.json"
@@ -410,15 +408,15 @@ for family in replica_fetch_total replica_generation_lag; do
 done
 echo "== mmap/heap load-mode identity: same snapshot, byte-identical answers"
 # Boot two more replicas off the same publisher: one with a local store
-# (streamed fetch-to-disk + mapped serving — the default mode needs a
-# directory to map from) and one with -snapshot-mmap=false forcing the
-# materializing heap decode of the identical bytes. Every read endpoint
-# must answer byte-for-byte the same — the proof that the zero-copy path
-# changes where bytes live, never what they say.
+# (streamed fetch-to-disk + mapped serving — mapping needs a directory
+# to map from) and one without a store, which decodes the identical
+# fetched bytes on the heap. Every read endpoint must answer
+# byte-for-byte the same — the proof that the zero-copy path changes
+# where bytes live, never what they say.
 "$scrape_dir/leased" -addr 127.0.0.1:0 -data /nonexistent -snapshot-dir "$scrape_dir/msnaps" \
 	-snapshot-url "http://$addr/snapshot/current" -poll 250ms >"$scrape_dir/mmap.log" 2>&1 &
 mmap_pid=$!
-"$scrape_dir/leased" -addr 127.0.0.1:0 -data /nonexistent -snapshot-mmap=false \
+"$scrape_dir/leased" -addr 127.0.0.1:0 -data /nonexistent \
 	-snapshot-url "http://$addr/snapshot/current" -poll 250ms >"$scrape_dir/heap.log" 2>&1 &
 heap_pid=$!
 maddr=""

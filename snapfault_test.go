@@ -112,8 +112,9 @@ func TestOpenFileFaultMatrixFailsAtOpen(t *testing.T) {
 }
 
 // TestStoreFallsBackThroughFaultMatrix stacks a damaged generation on
-// top of an intact one for every fault kind and requires LoadCurrent to
-// serve the intact generation every time.
+// top of an intact one for every fault kind and requires the daemon's
+// recovery scan, LoadCurrentOpen, to serve the intact generation every
+// time.
 func TestStoreFallsBackThroughFaultMatrix(t *testing.T) {
 	snap, _ := storeFixture(t)
 	intact := snapstore.Encode(snap, 1)
@@ -136,15 +137,16 @@ func TestStoreFallsBackThroughFaultMatrix(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			got, gen, err := st.LoadCurrent()
+			ld, err := st.LoadCurrentOpen(snapstore.OpenOptions{})
 			if err != nil {
-				t.Fatalf("LoadCurrent: %v", err)
+				t.Fatalf("LoadCurrentOpen: %v", err)
 			}
-			if gen != 1 {
-				t.Fatalf("served generation %d, want fallback to 1", gen)
+			defer ld.Snap.Release()
+			if ld.Gen != 1 {
+				t.Fatalf("served generation %d, want fallback to 1", ld.Gen)
 			}
-			if got.NumInferences() != snap.NumInferences() {
-				t.Fatalf("fallback serves %d inferences, want %d", got.NumInferences(), snap.NumInferences())
+			if ld.Snap.NumInferences() != snap.NumInferences() {
+				t.Fatalf("fallback serves %d inferences, want %d", ld.Snap.NumInferences(), snap.NumInferences())
 			}
 		})
 	}
@@ -169,12 +171,13 @@ func TestStoreSurvivesManifestRot(t *testing.T) {
 			if err := damage.apply(st.Dir()); err != nil {
 				t.Fatal(err)
 			}
-			_, gen, err := st.LoadCurrent()
+			ld, err := st.LoadCurrentOpen(snapstore.OpenOptions{})
 			if err != nil {
-				t.Fatalf("LoadCurrent with %s manifest: %v", damage.name, err)
+				t.Fatalf("LoadCurrentOpen with %s manifest: %v", damage.name, err)
 			}
-			if gen != 7 {
-				t.Fatalf("served generation %d, want 7", gen)
+			ld.Snap.Release()
+			if ld.Gen != 7 {
+				t.Fatalf("served generation %d, want 7", ld.Gen)
 			}
 		})
 	}

@@ -83,8 +83,11 @@ func TestColdStartRunsZeroInference(t *testing.T) {
 	// families must not be.
 	s := serve.New(serve.Config{
 		Build: func(ctx context.Context) (*serve.Snapshot, error) {
-			restored, _, err := st.LoadCurrent()
-			return restored, err
+			ld, err := st.LoadCurrentOpen(snapstore.OpenOptions{})
+			if err != nil {
+				return nil, err
+			}
+			return ld.Snap, nil
 		},
 	})
 	cold := telemetry.NewTrace("cold-start")
