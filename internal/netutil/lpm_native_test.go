@@ -1,6 +1,7 @@
 package netutil
 
 import (
+	"bytes"
 	"encoding/binary"
 	"math/rand"
 	"testing"
@@ -49,20 +50,19 @@ func TestLPMNativeEmpty(t *testing.T) {
 	}
 }
 
-// TestLPMNativeRejects: the native decoder validates every record
-// before the index exists — a mapped file with damaged nodes must fail
-// construction, never corrupt a descent at query time.
-func TestLPMNativeRejects(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	ps := randomPrefixSet(rng, 64)
-	good := BuildLPM(ps).AppendNative(nil)
+// lpmDamage is one way to corrupt a native LPM encoding: cut it to trunc
+// bytes when trunc > 0, otherwise apply mutate to a copy.
+type lpmDamage struct {
+	name   string
+	mutate func(b []byte)
+	trunc  int
+}
 
+// lpmNativeDamage lists the structural damage LPMFromNative must reject
+// for good, the encoding of an index built over nvals prefixes.
+func lpmNativeDamage(good []byte, nvals int) []lpmDamage {
 	node := func(i int) int { return lpmNativeHeaderSize + i*lpmNativeNodeSize }
-	cases := []struct {
-		name   string
-		mutate func(b []byte)
-		trunc  int // if > 0, cut to this many bytes instead
-	}{
+	return []lpmDamage{
 		{name: "empty", trunc: 1},
 		{name: "short-header", trunc: 4},
 		{name: "cut-mid-node", trunc: len(good) - 7},
@@ -81,7 +81,7 @@ func TestLPMNativeRejects(t *testing.T) {
 			b[node(1)+20] = 8
 		}},
 		{name: "val-past-arena", mutate: func(b []byte) {
-			binary.LittleEndian.PutUint32(b[node(1)+8:], uint32(len(ps)))
+			binary.LittleEndian.PutUint32(b[node(1)+8:], uint32(nvals))
 		}},
 		{name: "val-below-minus-one", mutate: func(b []byte) {
 			binary.LittleEndian.PutUint32(b[node(1)+8:], 0xfffffffe) // int32(-2)
@@ -98,18 +98,100 @@ func TestLPMNativeRejects(t *testing.T) {
 			b[node(0)+20] = 1
 		}},
 	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			mut := append([]byte(nil), good...)
-			if tc.trunc > 0 {
-				mut = mut[:tc.trunc]
-			} else {
-				tc.mutate(mut)
-			}
-			if _, err := LPMFromNative(mut, len(ps)); err == nil {
+}
+
+// apply returns good with d applied, in a fresh buffer.
+func (d lpmDamage) apply(good []byte) []byte {
+	mut := append([]byte(nil), good...)
+	if d.trunc > 0 {
+		return mut[:d.trunc]
+	}
+	d.mutate(mut)
+	return mut
+}
+
+// unaligned copies b to an offset that is not 8-aligned, so
+// LPMFromNative cannot alias it and takes the copying decode.
+func unaligned(b []byte) []byte {
+	s := make([]byte, len(b)+1)
+	copy(s[1:], b)
+	return s[1:]
+}
+
+// TestLPMNativeRejects: the native decoder validates every record
+// before the index exists — a mapped file with damaged nodes must fail
+// construction, never corrupt a descent at query time.
+func TestLPMNativeRejects(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	ps := randomPrefixSet(rng, 64)
+	good := BuildLPM(ps).AppendNative(nil)
+	for _, d := range lpmNativeDamage(good, len(ps)) {
+		t.Run(d.name, func(t *testing.T) {
+			if _, err := LPMFromNative(d.apply(good), len(ps)); err == nil {
 				t.Fatal("damaged native LPM encoding accepted")
 			}
 		})
+	}
+}
+
+// TestLPMCodecRejects: the same damage must be rejected on the copying
+// decode, the path an unaligned or foreign-layout buffer takes. The
+// checks run on the decoded nodes, so a copy must not launder damage
+// that the aliasing path would catch.
+func TestLPMCodecRejects(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	ps := randomPrefixSet(rng, 64)
+	good := BuildLPM(ps).AppendNative(nil)
+	for _, d := range lpmNativeDamage(good, len(ps)) {
+		t.Run(d.name, func(t *testing.T) {
+			if _, err := LPMFromNative(unaligned(d.apply(good)), len(ps)); err == nil {
+				t.Fatal("damaged LPM encoding accepted by the copying decode")
+			}
+		})
+	}
+}
+
+// TestLPMCodecRoundTrip: the encoding is canonical. Re-encoding an
+// index rebuilt from it, on the aliasing and on the copying decode,
+// must give back the same bytes, with the size the layout fixes.
+func TestLPMCodecRoundTrip(t *testing.T) {
+	for seed := int64(0); seed < 8; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		ps := randomPrefixSet(rng, 200+rng.Intn(400))
+		orig := BuildLPM(ps)
+		enc := orig.AppendNative(nil)
+		if want := lpmNativeHeaderSize + orig.Len()*lpmNativeNodeSize; len(enc) != want {
+			t.Fatalf("seed %d: encoding is %d bytes, want %d", seed, len(enc), want)
+		}
+		for _, buf := range [][]byte{enc, unaligned(enc)} {
+			dec, err := LPMFromNative(buf, len(ps))
+			if err != nil {
+				t.Fatalf("seed %d: from native: %v", seed, err)
+			}
+			if re := dec.AppendNative(nil); !bytes.Equal(re, enc) {
+				t.Fatalf("seed %d: re-encoding differs from the original encoding", seed)
+			}
+		}
+	}
+}
+
+// TestLPMCodecEmpty: a zero-value index encodes as an empty header, and
+// that header decodes to an index that matches nothing.
+func TestLPMCodecEmpty(t *testing.T) {
+	var zero LPM
+	enc := zero.AppendNative(nil)
+	if !bytes.Equal(enc, make([]byte, lpmNativeHeaderSize)) {
+		t.Fatalf("zero-value index encodes as %x, want %d zero bytes", enc, lpmNativeHeaderSize)
+	}
+	dec, err := LPMFromNative(enc, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := dec.Lookup(MustParseAddr("10.0.0.1")); ok {
+		t.Fatal("empty decoded index matched an address")
+	}
+	if _, ok := dec.LookupExact(Prefix{}); ok {
+		t.Fatal("empty decoded index matched the /0 prefix")
 	}
 }
 
@@ -120,10 +202,7 @@ func TestLPMNativeUnalignedFallsBack(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	ps := randomPrefixSet(rng, 100)
 	orig := BuildLPM(ps)
-	enc := orig.AppendNative(nil)
-	shifted := make([]byte, len(enc)+1)
-	copy(shifted[1:], enc)
-	dec, err := LPMFromNative(shifted[1:], len(ps))
+	dec, err := LPMFromNative(unaligned(orig.AppendNative(nil)), len(ps))
 	if err != nil {
 		t.Fatalf("from unaligned native: %v", err)
 	}
