@@ -32,17 +32,11 @@
 // README's Observability section for the metric catalog and trace
 // query parameters.
 //
-// Incremental reloads: by default, timer-driven reloads (-reload > 0)
-// take the delta path — the refreshed dataset is diffed against the
-// previous generation and only the allocation-forest roots the churn
-// touched are re-classified, with the serving indexes patched in place
-// (mode=delta in logs and metrics). The result is byte-identical to a
-// full rebuild. SIGHUP stays a forced full rebuild: the operator escape
-// hatch that also recompacts the patched indexes. -delta applies only
-// to timer reloads: the previous generation is kept as the diff
-// baseline only with -reload > 0 and -delta, so a daemon without a
-// timer holds just its serving state. -delta=false pins every reload
-// to the full path.
+// Reloads: every reload — the boot load, a -reload timer tick, SIGHUP —
+// is the same full rebuild: a load of the sources the inference reads
+// (the WHOIS dumps, the RIBs, AS relationships and as2org), one
+// inference run, and a fresh index. Nothing is kept between reloads
+// beyond the serving snapshot.
 //
 // Memory at rest: after a forced full reload (the boot load, SIGHUP)
 // has swapped and published, the daemon returns the build's garbage to
@@ -87,8 +81,8 @@
 //
 // Usage:
 //
-//	leased -data dataset [-addr 127.0.0.1:8402] [-strict] [-delta=true]
-//	       [-reload 24h] [-drain 10s] [-max-inflight 128] [-timeout 5s]
+//	leased -data dataset [-addr 127.0.0.1:8402] [-strict] [-reload 24h]
+//	       [-drain 10s] [-max-inflight 128] [-timeout 5s]
 //	       [-log-format text|json] [-log-level info] [-pprof]
 //	       [-snapshot-dir dir] [-snapshot-keep 4]
 //	       [-snapshot-url http://publisher:8402/snapshot/current] [-poll 15s]
@@ -114,7 +108,6 @@ func main() {
 	flag.StringVar(&cfg.Data, "data", "dataset", "dataset directory")
 	flag.StringVar(&cfg.Addr, "addr", "127.0.0.1:8402", "listen address")
 	flag.BoolVar(&cfg.Strict, "strict", false, "strict ingestion: any malformed record fails a (re)load")
-	flag.BoolVar(&cfg.Delta, "delta", true, "incremental timer reloads (-reload > 0 only): keep the previous generation, diff against it and re-classify only the churn (SIGHUP still forces a full rebuild)")
 	flag.DurationVar(&cfg.Reload, "reload", 0, "timer-driven reload period (0 disables; SIGHUP always reloads)")
 	flag.DurationVar(&cfg.Drain, "drain", 10*time.Second, "graceful-shutdown drain budget")
 	flag.IntVar(&cfg.MaxInFlight, "max-inflight", serve.DefaultMaxInFlight, "concurrent requests before shedding with 429")

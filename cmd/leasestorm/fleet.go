@@ -60,7 +60,6 @@ func startFleet(parent context.Context, cfg StormConfig) (*fleet, error) {
 	pubCfg := daemon.Config{
 		Data:        cfg.Data,
 		Addr:        "127.0.0.1:0",
-		Delta:       true,
 		Reload:      cfg.Reload,
 		Drain:       2 * time.Second,
 		SnapshotDir: filepath.Join(cfg.WorkDir, "pub"),

@@ -10,7 +10,7 @@
 // added/removed/transferred, RIB origin flips, ROA rotations,
 // organisation churn) and writes the result to -mutate-out (default
 // "<out>.next"). One run yields two dataset directories exactly one
-// reload apart — the input shape the incremental delta path consumes.
+// reload apart — the input for reloads over churn, full or incremental.
 // Both epochs must come from one run: generation consumes randomness in
 // map order, so two -seed invocations do not produce identical worlds.
 //

@@ -104,22 +104,6 @@ func InferDelta(ctx context.Context, next *Dataset, summary *LoadSummary, opts O
 	return gen, rep
 }
 
-// LoadAndInferDelta is the incremental counterpart of LoadAndInfer:
-// load the successor epoch from dir, then InferDelta against prev. The
-// load itself is not incremental — parsing the refreshed sources is
-// common to both reload modes — only the inference and (via the
-// report's Plan) the serving indexes are. The load is scoped like
-// LoadAndInfer's: the returned generation's Dataset carries only the
-// inference inputs, the RPKI archive and Load.
-func LoadAndInferDelta(ctx context.Context, dir string, loadOpts LoadOptions, inferOpts Options, prev *Generation, maxDirtyRatio float64) (*Generation, *DeltaReport, error) {
-	ds, sum, err := loadDataset(ctx, dir, loadOpts, servingSources)
-	if err != nil {
-		return nil, nil, err
-	}
-	gen, rep := InferDelta(ctx, ds, sum, inferOpts, prev, maxDirtyRatio)
-	return gen, rep, nil
-}
-
 // inputsOf projects the substrates the inference reads out of a
 // dataset for diffing.
 func inputsOf(d *Dataset) delta.Inputs {

@@ -236,32 +236,22 @@ func TestDeltaZeroChurnAliases(t *testing.T) {
 	}
 }
 
-// TestDeltaReloadBreaker proves the operational failure mode: a corrupt
-// successor epoch fed to the delta reload path fails the reload, leaves
+// TestDeltaReloadBreaker proves the operational failure mode of a
+// timer reload over a churned epoch: a corrupt successor fed to
+// unforced reloads of a strict full builder fails each reload, leaves
 // the live snapshot serving the previous generation, and trips the
-// reload circuit breaker — it never splices poisoned data into the
+// reload circuit breaker — it never swaps poisoned data into the
 // serving state.
 func TestDeltaReloadBreaker(t *testing.T) {
 	baseDir, nextDir := writeEpochPair(t, 11, 0.01)
 	builderDir := baseDir
-	mkSnap := func(ctx context.Context, prev *serve.Snapshot, gen **Generation) (*serve.Snapshot, error) {
-		g, rep, err := LoadAndInferDelta(ctx, builderDir, StrictLoad(), Options{}, *gen, DeltaChurnFallback)
-		if err != nil {
-			return nil, err
-		}
-		*gen = g
-		if rep.Mode == "delta" && prev != nil {
-			return serve.PatchSnapshot(prev, g.Result, rep.Plan, nil, nil), nil
-		}
-		return serve.NewSnapshot(g.Result, nil, nil), nil
-	}
-	var gen *Generation
 	s := serve.New(serve.Config{
 		Build: func(ctx context.Context) (*serve.Snapshot, error) {
-			return mkSnap(ctx, nil, &gen)
-		},
-		BuildDelta: func(ctx context.Context, prev *serve.Snapshot) (*serve.Snapshot, error) {
-			return mkSnap(ctx, prev, &gen)
+			_, sum, res, err := LoadAndInferContext(ctx, builderDir, StrictLoad(), Options{})
+			if err != nil {
+				return nil, err
+			}
+			return serve.NewSnapshot(res, sum.Reports, sum.SkippedAnalyses), nil
 		},
 		ReloadAttempts: 1,
 		BreakerAfter:   2,
@@ -270,20 +260,20 @@ func TestDeltaReloadBreaker(t *testing.T) {
 	if err := s.Reload(ctx, true); err != nil {
 		t.Fatalf("initial load: %v", err)
 	}
-	live := s.Snapshot()
 
-	// A good delta reload works and reports its mode.
+	// A good timer reload of the successor epoch works and reports its
+	// mode.
 	builderDir = nextDir
 	if err := s.Reload(ctx, false); err != nil {
-		t.Fatalf("delta reload: %v", err)
+		t.Fatalf("timer reload: %v", err)
 	}
-	if ev := s.LastReload(); ev == nil || ev.Mode != serve.ModeDelta {
-		t.Fatalf("reload event mode = %+v, want delta", ev)
+	if ev := s.LastReload(); ev == nil || !ev.OK || ev.Mode != serve.ModeFull {
+		t.Fatalf("reload event = %+v, want ok mode=%s", ev, serve.ModeFull)
 	}
-	live = s.Snapshot()
+	live := s.Snapshot()
 
-	// Corrupt the successor epoch: every strict delta reload now fails,
-	// and after BreakerAfter failures the breaker opens.
+	// Corrupt the successor epoch: every strict reload now fails, and
+	// after BreakerAfter failures the breaker opens.
 	if _, err := faultgen.Corrupt(nextDir, 99); err != nil {
 		t.Fatal(err)
 	}
@@ -296,6 +286,6 @@ func TestDeltaReloadBreaker(t *testing.T) {
 		t.Fatalf("breaker did not open: %v", err)
 	}
 	if s.Snapshot() != live {
-		t.Fatal("failed delta reloads replaced the live snapshot")
+		t.Fatal("failed reloads replaced the live snapshot")
 	}
 }

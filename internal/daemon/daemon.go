@@ -19,7 +19,6 @@ import (
 	"os"
 	"os/signal"
 	"strings"
-	"sync"
 	"syscall"
 	"time"
 
@@ -60,7 +59,6 @@ type Config struct {
 	Data        string        // dataset directory
 	Addr        string        // listen address
 	Strict      bool          // strict ingestion: any malformed record fails a (re)load
-	Delta       bool          // incremental timer reloads (only with Reload > 0)
 	Reload      time.Duration // timer-driven reload period (0 disables)
 	Drain       time.Duration // graceful-shutdown budget
 	MaxInFlight int           // concurrent requests before shedding
@@ -128,32 +126,15 @@ func (c Config) logLevelOrDefault() string {
 	return c.LogLevel
 }
 
-// deltaReloads reports whether unforced reloads take the incremental
-// path: Delta is on and a reload timer issues them. The timer is the
-// only source of unforced reloads on a publisher (SIGHUP forces a full
-// rebuild), so without one a delta baseline is memory nothing reads.
-func (c Config) deltaReloads() bool { return c.Delta && c.Reload > 0 }
-
-// snapshotBuilder is the daemon's snapshot build step: one dataset load
-// under the configured ingestion policy plus one inference run. When
-// the config takes delta reloads (Delta with a Reload timer) it retains
-// the previous load's Generation so timer reloads can take the
-// incremental path: diff the refreshed dataset against it, re-classify
-// only the dirty allocation-forest roots, and patch the previous
-// snapshot's serving indexes instead of rebuilding them. Holding the
-// baseline costs one extra dataset generation of memory — the price of
-// diffing — which a daemon without a timer or with Delta=false never
-// pays. That generation is serving-scoped (see ipleasing.LoadAndInfer):
-// it holds the WHOIS objects, the merged routing table, the
-// relationship and organisation data and the RPKI archive the diff
-// reads, not the geolocation panel, abuse lists or evaluation files,
-// which no reload parses.
+// snapshotBuilder is the daemon's snapshot build step: one
+// serving-scoped dataset load (see ipleasing.LoadAndInfer) under the
+// configured ingestion policy plus one full inference run. Boot,
+// SIGHUP and timer reloads all take it, and it keeps nothing between
+// builds: the parsed dataset is garbage once the snapshot is indexed,
+// so a publisher holds only its serving state.
 type snapshotBuilder struct {
 	cfg  Config
 	opts ipleasing.LoadOptions
-
-	mu   sync.Mutex
-	prev *ipleasing.Generation
 }
 
 func newSnapshotBuilder(cfg Config) *snapshotBuilder {
@@ -164,65 +145,14 @@ func newSnapshotBuilder(cfg Config) *snapshotBuilder {
 	return &snapshotBuilder{cfg: cfg, opts: opts}
 }
 
-func (b *snapshotBuilder) setPrev(g *ipleasing.Generation) {
-	b.mu.Lock()
-	b.prev = g
-	b.mu.Unlock()
-}
-
-func (b *snapshotBuilder) getPrev() *ipleasing.Generation {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.prev
-}
-
 // buildFull is the full rebuild: load, infer everything, index from
-// scratch. With delta reloads on, the resulting generation becomes the
-// next delta baseline; otherwise the dataset is garbage once this
-// returns.
+// scratch.
 func (b *snapshotBuilder) buildFull(ctx context.Context) (*serve.Snapshot, error) {
-	ds, sum, res, err := ipleasing.LoadAndInferContext(ctx, b.cfg.Data, b.opts, ipleasing.Options{})
+	_, sum, res, err := ipleasing.LoadAndInferContext(ctx, b.cfg.Data, b.opts, ipleasing.Options{})
 	if err != nil {
 		return nil, err
-	}
-	if b.cfg.deltaReloads() {
-		b.setPrev(&ipleasing.Generation{Dataset: ds, Summary: sum, Result: res})
 	}
 	snap := serve.NewSnapshot(res, sum.Reports, sum.SkippedAnalyses)
-	snap.Dir = b.cfg.Data
-	snap.Strict = b.cfg.Strict
-	return snap, nil
-}
-
-// buildDelta is the incremental rebuild serve.Config.BuildDelta wires
-// to unforced reloads: load the refreshed dataset, InferDelta against
-// the retained generation, and patch prevSnap's indexes through the
-// resulting plan. Falls back transparently (first generation, churn
-// above threshold) with the snapshot's DeltaInfo reporting which mode
-// actually ran. On error the baseline is left untouched, so the next
-// attempt diffs against the same good generation.
-func (b *snapshotBuilder) buildDelta(ctx context.Context, prevSnap *serve.Snapshot) (*serve.Snapshot, error) {
-	gen, rep, err := ipleasing.LoadAndInferDelta(ctx, b.cfg.Data, b.opts, ipleasing.Options{},
-		b.getPrev(), ipleasing.DeltaChurnFallback)
-	if err != nil {
-		return nil, err
-	}
-	b.setPrev(gen)
-	var snap *serve.Snapshot
-	if rep.Mode == serve.ModeDelta {
-		snap = serve.PatchSnapshot(prevSnap, gen.Result, rep.Plan,
-			gen.Summary.Reports, gen.Summary.SkippedAnalyses)
-	} else {
-		snap = serve.NewSnapshot(gen.Result, gen.Summary.Reports, gen.Summary.SkippedAnalyses)
-		snap.Delta = &serve.DeltaInfo{Mode: serve.ModeFull}
-	}
-	if rep.Stats != nil {
-		snap.Delta.DirtyShards = rep.Stats.DirtySegments
-		snap.Delta.TotalShards = rep.Stats.TotalSegments
-	}
-	if rep.Changes != nil {
-		snap.Delta.ChangedKeys = rep.Changes.ChangedKeys()
-	}
 	snap.Dir = b.cfg.Data
 	snap.Strict = b.cfg.Strict
 	return snap, nil
@@ -274,9 +204,8 @@ func newHTTPServer(cfg Config, h http.Handler) *http.Server {
 }
 
 // serveConfig wires the serving layer for one daemon role: a publisher
-// builds from the dataset (incrementally on timer reloads when
-// deltaReloads), a replica builds from fetched snapshots on its poll
-// loop instead of a reload timer.
+// builds from the dataset, a replica builds from fetched snapshots on
+// its poll loop instead of a reload timer.
 func serveConfig(cfg Config, b *snapshotBuilder, snaps *snapshots, logger *telemetry.Logger, reg *telemetry.Registry) serve.Config {
 	scfg := serve.Config{
 		Build:          snaps.wrapBuild(b.buildFull),
@@ -299,15 +228,11 @@ func serveConfig(cfg Config, b *snapshotBuilder, snaps *snapshots, logger *telem
 			Registry:   reg,
 		})
 	}
-	if cfg.deltaReloads() {
-		scfg.BuildDelta = snaps.wrapBuildDelta(b.buildDelta)
-	}
 	if snaps.replica() {
 		// Replica: the builder fetches encoded snapshots instead of
-		// loading Data; the poll loop Run starts replaces the reload timer,
-		// and the delta path is moot (nothing is inferred here).
+		// loading Data; the poll loop Run starts replaces the reload
+		// timer.
 		scfg.Build = snaps.buildFromFetch
-		scfg.BuildDelta = nil
 		scfg.ReloadEvery = 0
 	}
 	if snaps != nil {

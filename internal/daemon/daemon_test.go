@@ -7,6 +7,7 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
@@ -230,17 +231,19 @@ func TestStrictFlagRejectsCorruptDataset(t *testing.T) {
 
 // TestStrictDaemonIgnoresUnreadSources: a strict daemon parses only the
 // sources the inference reads, so a malformed row in the geolocation
-// panel or the ground-truth file — fatal to a strict full load — must
-// not keep it from starting, and neither its /loadreport nor its ingest
-// metrics may mention a source it never parsed.
+// panel, the ground-truth file or an RPKI VRP snapshot — fatal to a
+// strict full load — must not keep it from starting, and neither its
+// /loadreport nor its ingest metrics may mention a source it never
+// parsed.
 func TestStrictDaemonIgnoresUnreadSources(t *testing.T) {
 	served := []string{"whois/RIPE", "whois/ARIN", "whois/APNIC", "whois/AFRINIC", "whois/LACNIC",
-		"bgp/rib.routeviews.mrt", "bgp/rib.ris.mrt", "asrel", "as2org", "rpki"}
+		"bgp/rib.routeviews.mrt", "bgp/rib.ris.mrt", "asrel", "as2org"}
 	for _, tc := range []struct {
 		name, glob, row string
 	}{
 		{"geofeed", "geo/geofeed-*.csv", "198.51.100.0/33,ZZ\n"},
 		{"groundtruth", "groundtruth.csv", "RIPE,not-a-prefix,leased,true\n"},
+		{"rpki", "rpki/vrps-*.csv", "AS64500,203.0.113.999/24,24,test\n"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := dataset(t)
@@ -292,93 +295,102 @@ func TestStrictDaemonIgnoresUnreadSources(t *testing.T) {
 			if !strings.Contains(metrics, `ingest_parsed_records_total{source="whois/RIPE"}`) {
 				t.Error("/metrics lacks the served sources' ingest counters")
 			}
-			if strings.Contains(metrics, `ingest_parsed_records_total{source="geo"}`) {
-				t.Error("/metrics has an ingest counter for the unread geo source")
+			for _, line := range strings.Split(metrics, "\n") {
+				if strings.HasPrefix(line, "ingest_") &&
+					(strings.Contains(line, `source="geo"`) || strings.Contains(line, `source="rpki"`)) {
+					t.Errorf("/metrics has an ingest counter for an unread source: %s", line)
+				}
 			}
 		})
 	}
 }
 
 func TestBuilderUsage(t *testing.T) {
-	// The builder wires the config's dataset dir; a wrong dir errors on
-	// both the full and the delta path, and a failed build leaves no
-	// baseline generation behind — under a config (Delta with a reload
-	// timer) whose successful builds would keep one.
-	b := newSnapshotBuilder(Config{Data: "does-not-exist", Strict: false, Delta: true, Reload: time.Hour})
+	// The builder wires the config's dataset dir: a wrong dir errors.
+	b := newSnapshotBuilder(Config{Data: "does-not-exist"})
 	if _, err := b.buildFull(context.Background()); err == nil {
 		t.Fatal("full build over missing dir succeeded")
 	}
-	if _, err := b.buildDelta(context.Background(), nil); err == nil {
-		t.Fatal("delta build over missing dir succeeded")
-	}
-	if b.getPrev() != nil {
-		t.Fatal("failed builds left a baseline generation")
-	}
 }
 
-// TestDeltaBaselineNeedsTimer pins when a publisher keeps the delta
-// baseline. Unforced reloads, the baseline's only reader, come only
-// from the reload timer, so only Delta with Reload > 0 keeps it; any
-// other publisher drops the parsed dataset after each build.
+// TestDeltaBaselineNeedsTimer pins that a publisher's reloads are all
+// the same full rebuild, timer or not and churn or not: every unforced
+// reload runs ok mode=full, and /metrics carries neither a delta mode
+// nor the retired delta families (dirty shards, changed keys, LPM patch
+// operations). "with delta" churns the dataset between the boot load
+// and the first timer reload; "without delta" reloads the same bytes.
 func TestDeltaBaselineNeedsTimer(t *testing.T) {
-	dir := dataset(t)
 	ctx := context.Background()
-
-	t.Run("no timer", func(t *testing.T) {
-		cfg := Config{Data: dir, Delta: true}
-		b := newSnapshotBuilder(cfg)
-		if scfg := serveConfig(cfg, b, nil, nil, telemetry.NewRegistry()); scfg.BuildDelta != nil {
-			t.Error("BuildDelta wired without a reload timer")
-		}
-		if _, err := b.buildFull(ctx); err != nil {
-			t.Fatal(err)
-		}
-		if b.getPrev() != nil {
-			t.Error("no-timer publisher kept a delta baseline")
-		}
-	})
-
 	for _, tc := range []struct {
-		name     string
-		delta    bool
-		wantMode string
+		name   string
+		reload time.Duration
+		churn  bool
 	}{
-		{"timer with delta", true, serve.ModeDelta},
-		{"timer without delta", false, serve.ModeFull},
+		{"no timer", 0, false},
+		{"timer with delta", 20 * time.Millisecond, true},
+		{"timer without delta", 20 * time.Millisecond, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			cfg := Config{Data: dir, Delta: tc.delta, Reload: 20 * time.Millisecond}
-			b := newSnapshotBuilder(cfg)
-			scfg := serveConfig(cfg, b, nil, nil, telemetry.NewRegistry())
-			if (scfg.BuildDelta != nil) != tc.delta {
-				t.Fatalf("BuildDelta wired = %v, want %v", scfg.BuildDelta != nil, tc.delta)
+			world := ipleasing.Generate(ipleasing.Config{Seed: 11, Scale: 0.005})
+			dir := filepath.Join(t.TempDir(), "ds")
+			if err := world.WriteDir(dir); err != nil {
+				t.Fatal(err)
+			}
+			cfg := Config{Data: dir, Reload: tc.reload}
+			reg := telemetry.NewRegistry()
+			scfg := serveConfig(cfg, newSnapshotBuilder(cfg), nil, nil, reg)
+			if scfg.ReloadEvery != tc.reload {
+				t.Fatalf("ReloadEvery = %v, want %v", scfg.ReloadEvery, tc.reload)
 			}
 			s := serve.New(scfg)
 			if err := s.Reload(ctx, true); err != nil {
 				t.Fatal(err)
 			}
-			if kept := b.getPrev() != nil; kept != tc.delta {
-				t.Fatalf("baseline kept after boot = %v, want %v", kept, tc.delta)
+			if tc.churn {
+				ipleasing.Mutate(world, ipleasing.MutateConfig{Seed: 12, Churn: 0.05})
+				if err := os.RemoveAll(dir); err != nil {
+					t.Fatal(err)
+				}
+				if err := world.WriteDir(dir); err != nil {
+					t.Fatal(err)
+				}
 			}
-			lctx, cancel := context.WithCancel(ctx)
-			done := make(chan struct{})
-			go func() { defer close(done); s.ReloadLoop(lctx) }()
-			defer func() { cancel(); <-done }()
+			if tc.reload == 0 {
+				// No timer issues unforced reloads here; run the one it
+				// would have.
+				if err := s.Reload(ctx, false); err != nil {
+					t.Fatal(err)
+				}
+			} else {
+				lctx, cancel := context.WithCancel(ctx)
+				done := make(chan struct{})
+				go func() { defer close(done); s.ReloadLoop(lctx) }()
+				defer func() { cancel(); <-done }()
+			}
 			deadline := time.Now().Add(30 * time.Second)
 			for {
 				if ev := s.LastReload(); ev != nil && !ev.Forced {
-					if !ev.OK || ev.Mode != tc.wantMode {
-						t.Fatalf("first timer reload = %+v, want ok mode=%s", ev, tc.wantMode)
+					if !ev.OK || ev.Mode != serve.ModeFull {
+						t.Fatalf("first unforced reload = %+v, want ok mode=%s", ev, serve.ModeFull)
 					}
 					break
 				}
 				if time.Now().After(deadline) {
-					t.Fatal("no timer reload")
+					t.Fatal("no unforced reload")
 				}
 				time.Sleep(5 * time.Millisecond)
 			}
-			if kept := b.getPrev() != nil; kept != tc.delta {
-				t.Errorf("baseline kept after timer reload = %v, want %v", kept, tc.delta)
+
+			rec := httptest.NewRecorder()
+			reg.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+			metrics := rec.Body.String()
+			if !strings.Contains(metrics, `reload_cycles_by_mode_total{mode="full"}`) {
+				t.Error("/metrics lacks the full reload mode")
+			}
+			for _, gone := range []string{`mode="delta"`, "reload_dirty_shards", "reload_changed_keys_total", "lpm_patch_ops_total"} {
+				if strings.Contains(metrics, gone) {
+					t.Errorf("/metrics carries %s", gone)
+				}
 			}
 		})
 	}

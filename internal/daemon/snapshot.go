@@ -173,20 +173,6 @@ func (d *snapshots) wrapBuild(build func(ctx context.Context) (*serve.Snapshot, 
 	}
 }
 
-// wrapBuildDelta layers generation stamping over the incremental build.
-func (d *snapshots) wrapBuildDelta(build func(ctx context.Context, prev *serve.Snapshot) (*serve.Snapshot, error)) func(ctx context.Context, prev *serve.Snapshot) (*serve.Snapshot, error) {
-	if d == nil {
-		return build
-	}
-	return func(ctx context.Context, prev *serve.Snapshot) (*serve.Snapshot, error) {
-		snap, err := build(ctx, prev)
-		if err != nil {
-			return nil, err
-		}
-		return d.stamp(snap), nil
-	}
-}
-
 // buildFromFetch is the replica's serve.Config.Build: pull the current
 // encoded snapshot from the upstream publisher, decode (which
 // re-validates every checksum), persist it to the local cache when one
@@ -352,8 +338,8 @@ func (d *snapshots) onSwap(ctx context.Context, snap *serve.Snapshot) {
 	if d == nil || d.replica() {
 		return // the replica path publishes in buildFromFetch, from the fetched bytes
 	}
-	if snap.Delta != nil && snap.Delta.Mode == serve.ModeSnapshot {
-		return // decoded from the store at cold start; already durable and published
+	if snap.LoadMode() != serve.LoadModeBuilt {
+		return // restored from the store at cold start; already durable and published
 	}
 	gen := snap.Generation
 	if gen == 0 {

@@ -90,9 +90,8 @@ func (c *Changes) Empty() bool {
 	return len(c.BGP) == 0 && len(c.RelASNs) == 0
 }
 
-// ChangedKeys returns per-source changed-key counts, keyed by the load
-// source names the telemetry stack already uses
-// (reload_changed_keys_total{source}).
+// ChangedKeys returns per-source changed-key counts, keyed by load
+// source names ("whois/ripe", "bgp", ...).
 func (c *Changes) ChangedKeys() map[string]int {
 	out := make(map[string]int)
 	for reg, rc := range c.Whois {

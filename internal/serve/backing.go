@@ -28,8 +28,8 @@ type Backing interface {
 
 // Snapshot load modes, as reported by Snapshot.LoadMode and /statusz.
 const (
-	// LoadModeBuilt marks a snapshot constructed in-process (full build,
-	// delta patch) — heap-owned, no backing lifecycle.
+	// LoadModeBuilt marks a snapshot constructed in-process (NewSnapshot,
+	// PatchSnapshot) — heap-owned, no backing lifecycle.
 	LoadModeBuilt = "built"
 	// LoadModeHeap marks a snapshot restored from snapshot bytes held on
 	// the heap: a fetched body, or a store generation on a platform (or

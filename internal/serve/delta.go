@@ -9,8 +9,10 @@ import (
 	"ipleasing/internal/report"
 )
 
-// Reload modes, as reported in ReloadEvent.Mode, the mode label of the
-// reload metrics, and DeltaInfo.Mode.
+// Reload modes. ModeFull and ModeSnapshot are what ReloadEvent.Mode and
+// the mode label of the reload metrics report; ModeDelta and ModeFull
+// are what DeltaInfo.Mode reports for the incremental library path,
+// which the daemon does not take.
 const (
 	ModeFull  = "full"
 	ModeDelta = "delta"

@@ -45,15 +45,11 @@ func awaitIdle(t *testing.T, s *Server) {
 	}
 }
 
+// snapshotMode builds a snapshot labelled as restored from snapshot
+// bytes, the way snapstore.Decode's are.
 func snapshotMode(context.Context) (*Snapshot, error) {
 	snap := testSnapshot()
-	snap.Delta = &DeltaInfo{Mode: ModeSnapshot}
-	return snap, nil
-}
-
-func deltaMode(_ context.Context, _ *Snapshot) (*Snapshot, error) {
-	snap := testSnapshot()
-	snap.Delta = &DeltaInfo{Mode: ModeDelta}
+	snap.loadMode = LoadModeHeap
 	return snap, nil
 }
 
@@ -89,15 +85,13 @@ func TestForcedFullReloadReturnsHeapOnce(t *testing.T) {
 func TestOtherReloadsKeepHeap(t *testing.T) {
 	ok := func(context.Context) (*Snapshot, error) { return testSnapshot(), nil }
 	for _, tc := range []struct {
-		name       string
-		build      func(context.Context) (*Snapshot, error)
-		buildDelta func(context.Context, *Snapshot) (*Snapshot, error)
-		prime      bool // serve a snapshot first (unforced) so BuildDelta applies
-		forced     bool
-		wantErr    bool
+		name    string
+		build   func(context.Context) (*Snapshot, error)
+		prime   bool // serve a snapshot first (unforced), as a timer reload finds one
+		forced  bool
+		wantErr bool
 	}{
-		{name: "unforced full (timer, -delta=false)", build: ok},
-		{name: "delta", build: ok, buildDelta: deltaMode, prime: true},
+		{name: "unforced full (timer)", build: ok, prime: true},
 		{name: "forced snapshot mode (boot fetch or cold start)", build: snapshotMode, forced: true},
 		{name: "unforced snapshot mode (replica poll)", build: snapshotMode, prime: true},
 		{name: "forced snapshot mode (replica SIGHUP)", build: snapshotMode, forced: true, prime: true},
@@ -108,7 +102,6 @@ func TestOtherReloadsKeepHeap(t *testing.T) {
 			h := newHeapHook(false)
 			s := New(Config{
 				Build:          tc.build,
-				BuildDelta:     tc.buildDelta,
 				ReloadAttempts: 1,
 				freeOSMemory:   h.free,
 			})

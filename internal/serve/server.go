@@ -54,16 +54,6 @@ type Config struct {
 	// build error, never a process kill.
 	Build func(ctx context.Context) (*Snapshot, error)
 
-	// BuildDelta, when set, is the incremental builder used for unforced
-	// reloads once a snapshot is being served: it receives the live
-	// snapshot and may diff the fresh dataset against the previous
-	// generation, re-infer only what changed, and patch the serving
-	// indexes (PatchSnapshot). It must either return a snapshot
-	// equivalent to what Build would produce or fail; a failure counts
-	// as a normal reload failure (retries, then the breaker). Forced
-	// reloads — the operator escape hatch — always use Build.
-	BuildDelta func(ctx context.Context, prev *Snapshot) (*Snapshot, error)
-
 	// OnSwap, when set, observes every successfully swapped-in snapshot
 	// after it becomes the serving snapshot. It runs synchronously on
 	// the reload goroutine — keep it bounded (the daemon uses it to
@@ -206,9 +196,9 @@ type ReloadEvent struct {
 	Forced     bool      `json:"forced"`
 	Attempts   int       `json:"attempts"`
 	DurationMS int64     `json:"duration_ms"`
-	// Mode is ModeFull or ModeDelta: which build path the cycle ran (for
-	// successful delta cycles, what the builder actually did — a
-	// churn-threshold fallback reports ModeFull).
+	// Mode is ModeFull when the cycle built its snapshot in-process and
+	// ModeSnapshot when it restored one from snapshot bytes (a store
+	// generation or a fetched body); a failed cycle reports ModeFull.
 	Mode  string `json:"mode,omitempty"`
 	Error string `json:"error,omitempty"`
 }
@@ -237,10 +227,6 @@ type serveMetrics struct {
 	reloadByMode   *telemetry.CounterVec
 	consecFails    *telemetry.Gauge
 	breakerGauge   *telemetry.Gauge
-
-	dirtyShards *telemetry.Gauge
-	changedKeys *telemetry.CounterVec
-	lpmPatchOps *telemetry.Counter
 }
 
 // Server is the resilient lease-lookup HTTP service. Create one with
@@ -322,17 +308,11 @@ func (s *Server) initMetrics() {
 		reloadDuration: r.Histogram("reload_duration_seconds",
 			"Snapshot reload cycle duration in seconds.", nil),
 		reloadByMode: r.CounterVec("reload_cycles_by_mode_total",
-			"Completed snapshot reload cycles by build path (full|delta).", "mode"),
+			"Completed snapshot reload cycles by how the snapshot was made (full: built in-process, snapshot: restored from snapshot bytes).", "mode"),
 		consecFails: r.Gauge("reload_consecutive_failures",
 			"Consecutive failed reload cycles; resets on success."),
 		breakerGauge: r.Gauge("reload_breaker_open",
 			"Whether the reload circuit breaker is open (0/1)."),
-		dirtyShards: r.Gauge("reload_dirty_shards",
-			"Allocation-forest root segments re-classified by the last delta reload."),
-		changedKeys: r.CounterVec("reload_changed_keys_total",
-			"Changed keys seen by delta reload dataset diffs, by source.", "source"),
-		lpmPatchOps: r.Counter("lpm_patch_ops_total",
-			"LPM index patch operations (value deletions plus dirty inserts) across delta reloads."),
 	}
 	r.SetGaugeFunc("snapshot_age_seconds",
 		"Age of the served snapshot in seconds; 0 before the first load.",
@@ -596,13 +576,13 @@ func (s *Server) boundBodyRead(w http.ResponseWriter, r *http.Request, deadline 
 // build runs the configured builder with panic containment: a snapshot
 // build that panics (a rotten feed tripping a parser bug) is a failed
 // reload, not a dead daemon.
-func (s *Server) build(ctx context.Context, builder func(context.Context) (*Snapshot, error)) (snap *Snapshot, err error) {
+func (s *Server) build(ctx context.Context) (snap *Snapshot, err error) {
 	defer func() {
 		if v := recover(); v != nil {
 			snap, err = nil, fmt.Errorf("serve: snapshot build panicked: %v", v)
 		}
 	}()
-	return builder(ctx)
+	return s.cfg.Build(ctx)
 }
 
 // Reload runs one reload cycle: build the next snapshot off the request
@@ -625,19 +605,7 @@ func (s *Server) Reload(ctx context.Context, forced bool) error {
 		return ErrBreakerOpen
 	}
 
-	// Unforced reloads take the incremental path once a snapshot exists;
-	// forced reloads (the operator escape hatch) always rebuild from
-	// scratch.
 	mode := ModeFull
-	builder := s.cfg.Build
-	if !forced && s.cfg.BuildDelta != nil {
-		if prev := s.snap.Load(); prev != nil {
-			mode = ModeDelta
-			builder = func(ctx context.Context) (*Snapshot, error) {
-				return s.cfg.BuildDelta(ctx, prev)
-			}
-		}
-	}
 	// Trace the cycle. When the caller's context already carries a span
 	// (leaseinfer's -trace flag) the cycle nests under it; otherwise,
 	// with a trace plane configured, the cycle gets an owned trace that
@@ -689,7 +657,7 @@ func (s *Server) Reload(ctx context.Context, forced bool) error {
 		}
 		attempts++
 		var snap *Snapshot
-		snap, err = s.build(ctx, builder)
+		snap, err = s.build(ctx)
 		if err == nil && snap == nil {
 			err = errors.New("serve: builder returned nil snapshot")
 		}
@@ -697,10 +665,10 @@ func (s *Server) Reload(ctx context.Context, forced bool) error {
 			if snap.BuiltAt.IsZero() {
 				snap.BuiltAt = s.cfg.now()
 			}
-			// A delta builder may itself have fallen back to a full
-			// rebuild (churn threshold); report what actually ran.
-			if snap.Delta != nil && snap.Delta.Mode != "" {
-				mode = snap.Delta.Mode
+			// A restored snapshot (store generation, fetched body) ran
+			// no build; report what actually ran.
+			if snap.LoadMode() != LoadModeBuilt {
+				mode = ModeSnapshot
 				span.SetAttr("mode", mode)
 			}
 			// Stamp the snapshot's provenance — the traceparent of this
@@ -731,7 +699,6 @@ func (s *Server) Reload(ctx context.Context, forced bool) error {
 			if old != nil && old != snap {
 				old.Release()
 			}
-			s.observeDelta(snap)
 			if forced && mode == ModeFull {
 				s.returnHeap()
 			}
@@ -814,24 +781,6 @@ func (s *Server) notifySwap(ctx context.Context, snap *Snapshot) {
 		}
 	}()
 	s.cfg.OnSwap(ctx, snap)
-}
-
-// observeDelta rolls a delta-built snapshot's patch statistics onto the
-// delta metric families.
-func (s *Server) observeDelta(snap *Snapshot) {
-	d := snap.Delta
-	if d == nil {
-		return
-	}
-	s.m.dirtyShards.Set(float64(d.DirtyShards))
-	for src, n := range d.ChangedKeys {
-		if n > 0 {
-			s.m.changedKeys.With(src).Add(uint64(n))
-		}
-	}
-	if d.PatchOps > 0 {
-		s.m.lpmPatchOps.Add(uint64(d.PatchOps))
-	}
 }
 
 // finishReload records a completed cycle and drives the breaker.

@@ -57,9 +57,9 @@ type Snapshot struct {
 	Reports []*diag.LoadReport
 	// SkippedAnalyses names analyses the load's dataset cannot support.
 	SkippedAnalyses []string
-	// Delta, when non-nil, describes how the snapshot was produced by
-	// the incremental reload path (see PatchSnapshot); nil means a full
-	// build.
+	// Delta, when non-nil, describes how PatchSnapshot produced the
+	// snapshot on the library's incremental path; nil means any other
+	// origin.
 	Delta *DeltaInfo
 
 	table1 []byte
@@ -177,7 +177,7 @@ func (s *Snapshot) LPM() *netutil.LPM { return s.lpm }
 func (s *Snapshot) ASNView() *ASNView { return s.byASN }
 
 // Restored carries decoded snapshot sections into Restore. Every field
-// is required except Delta and Backing.
+// is required except Backing.
 type Restored struct {
 	BuiltAt         time.Time
 	Generation      uint64
@@ -190,14 +190,11 @@ type Restored struct {
 	Table1          []byte
 	Reports         []*diag.LoadReport
 	SkippedAnalyses []string
-	// Delta annotates how the snapshot reached this process; the snapshot
-	// store sets Mode to ModeSnapshot so reload accounting distinguishes
-	// decoded generations from full and delta builds.
-	Delta *DeltaInfo
 	// Backing, when non-nil, owns the memory the decoded sections alias;
 	// the snapshot takes over one reference to it (refcount 1 at birth)
 	// and releases it when its own last reference drops. It also labels
 	// the snapshot: LoadModeMmap with a backing, LoadModeHeap without.
+	// Either label makes a reload that serves it a ModeSnapshot reload.
 	Backing Backing
 }
 
@@ -222,7 +219,6 @@ func Restore(parts Restored) (*Snapshot, error) {
 		Result:          parts.Result,
 		Reports:         parts.Reports,
 		SkippedAnalyses: parts.SkippedAnalyses,
-		Delta:           parts.Delta,
 		table1:          parts.Table1,
 		infs:            parts.Result.Flat(),
 		lpm:             parts.LPM,

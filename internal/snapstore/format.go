@@ -543,10 +543,10 @@ func parseFile(data []byte) (gen uint64, payloads map[uint32][]byte, cerr *Corru
 
 // Decode validates and decodes a snapshot file held on the heap,
 // returning a fully servable snapshot and its generation. The returned
-// snapshot carries Delta.Mode == serve.ModeSnapshot so reload
-// accounting distinguishes restored generations from full and delta
-// builds. Its indexes are views over data — the caller must treat data
-// as immutable for the snapshot's lifetime (the GC keeps it alive).
+// snapshot's LoadMode is serve.LoadModeHeap, so a reload that serves
+// it counts as a snapshot reload, not a build. Its indexes are views
+// over data — the caller must treat data as immutable for the
+// snapshot's lifetime (the GC keeps it alive).
 //
 // Decode never returns a partial snapshot: any magic, version,
 // checksum, bounds, or structural failure yields (nil, 0, err) with

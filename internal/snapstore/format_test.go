@@ -30,8 +30,8 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	if gen != 42 {
 		t.Fatalf("decoded generation = %d, want 42", gen)
 	}
-	if got.Delta == nil || got.Delta.Mode != serve.ModeSnapshot {
-		t.Fatalf("decoded Delta = %+v, want Mode=%q", got.Delta, serve.ModeSnapshot)
+	if mode := got.LoadMode(); mode != serve.LoadModeHeap {
+		t.Fatalf("decoded LoadMode = %q, want %q", mode, serve.LoadModeHeap)
 	}
 	assertServesIdentical(t, "decoded", got, want)
 }

@@ -633,7 +633,6 @@ func openV3(payloads map[uint32][]byte, gen uint64, backing serve.Backing) (*ser
 		Table1:          payloads[secTable1],
 		Reports:         reports,
 		SkippedAnalyses: meta.skippedAnalyses,
-		Delta:           &serve.DeltaInfo{Mode: serve.ModeSnapshot},
 		Backing:         backing,
 	})
 	if err != nil {

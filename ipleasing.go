@@ -157,15 +157,16 @@ func Generate(cfg Config) *World { return synth.Generate(cfg) }
 
 // Mutate perturbs a generated world in place into a plausible successor
 // epoch — the same Internet one registry-and-RIB refresh later — for
-// exercising the incremental reload path (see InferDelta).
+// exercising reloads over churned inputs: a full reload per epoch, or
+// the incremental library path (see InferDelta).
 func Mutate(w *World, cfg MutateConfig) *MutateStats { return synth.Mutate(w, cfg) }
 
 // Dataset is a loaded dataset directory, parsed from its on-disk
 // formats. LoadDataset and LoadDatasetReport fill every field the
 // paper's methodology and its analyses consume. The serving loaders
-// (LoadAndInfer, LoadAndInferContext, LoadAndInferDelta) fill only the
-// inference inputs (Whois, Table, Rel, Orgs), RPKI and Load; the
-// remaining source fields stay nil.
+// (LoadAndInfer, LoadAndInferContext) fill only the inference inputs
+// (Whois, Table, Rel, Orgs) and Load; the remaining source fields,
+// RPKI included, stay nil.
 type Dataset struct {
 	Dir string
 

@@ -77,8 +77,8 @@ type LoadSummary struct {
 	// whois/<RIR> for the five registries, bgp/<file> for the two RIBs,
 	// then asrel, as2org, hijackers, brokers, drop, rpki, truth,
 	// exclusions, eval-isps, geo. LoadDataset and LoadDatasetReport load
-	// all seventeen; the LoadAndInfer entry points load only the ten the
-	// inference reads (whois, bgp, asrel, as2org, rpki) and report those.
+	// all seventeen; the LoadAndInfer entry points load only the nine the
+	// inference reads (whois, bgp, asrel, as2org) and report those.
 	Reports []*LoadReport
 	// SkippedAnalyses names the analyses the dataset cannot run because
 	// their sources are missing (e.g. "abuse-correlation" without an
@@ -191,13 +191,15 @@ func LoadDatasetReportContext(ctx context.Context, dir string, opts LoadOptions)
 // health endpoints.
 //
 // The load is scoped to what the inference reads: the WHOIS dumps, the
-// RIBs, the relationship and organisation datasets, and the RPKI
-// archive (which InferDelta diffs). The geolocation panel, the abuse
-// and broker lists and the evaluation files are not parsed, so a
-// malformed row in one of them cannot fail a reload, and the returned
-// Dataset's Geo, Drop, Hijackers, Brokers, Truth, Exclusions and
-// EvalISPs are nil. Curate, AnalyzeGeo, AnalyzeAbuse, HijackerAnalysis
-// and WriteReport need a dataset from LoadDataset or LoadDatasetReport.
+// RIBs, and the relationship and organisation datasets. The RPKI
+// archive, the geolocation panel, the abuse and broker lists and the
+// evaluation files are not parsed, so a malformed row in one of them
+// cannot fail a reload, and the returned Dataset's RPKI, Geo, Drop,
+// Hijackers, Brokers, Truth, Exclusions and EvalISPs are nil. Curate,
+// AnalyzeGeo, AnalyzeAbuse, HijackerAnalysis and WriteReport need a
+// dataset from LoadDataset or LoadDatasetReport. SkippedAnalyses still
+// judges every unparsed optional source by whether its file or
+// directory exists, so it matches a full load's.
 func LoadAndInfer(dir string, opts LoadOptions, inferOpts Options) (*Dataset, *LoadSummary, *Result, error) {
 	return LoadAndInferContext(context.Background(), dir, opts, inferOpts)
 }
@@ -216,7 +218,7 @@ func LoadAndInferContext(ctx context.Context, dir string, opts LoadOptions, infe
 // sourceSet selects the sources one load parses beyond the inference
 // core (the five WHOIS dumps and the two RIBs, which every load reads).
 // The entry point picks it: the analysis loaders parse everything, the
-// serving loaders only what the inference and the delta diff read.
+// serving loaders only what the inference reads.
 type sourceSet uint16
 
 const (
@@ -233,10 +235,9 @@ const (
 
 	// allSources is what LoadDataset and LoadDatasetReport parse.
 	allSources = srcGeo<<1 - 1
-	// servingSources is what Dataset.Pipeline and inputsOf read:
-	// relationships and organisations feed the classification, and RPKI
-	// feeds the delta diff's ROA-churn telemetry.
-	servingSources = srcASRel | srcAS2Org | srcRPKI
+	// servingSources is what Dataset.Pipeline reads: relationships and
+	// organisations feed the classification.
+	servingSources = srcASRel | srcAS2Org
 )
 
 // auxSource is one source beyond the WHOIS dumps and RIBs: its report

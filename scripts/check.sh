@@ -49,12 +49,13 @@ go test -race -run 'TestSnapshotFaultMatrix|TestStoreFallsBackThroughFaultMatrix
 echo "== fault-injection smoke (3 seeds: lenient recovers, strict fails)"
 go test -run 'TestFaultInjectionMatrix|TestCorruptDeterministic' .
 
-# The incremental-reload equivalence matrix is race-gated even in -quick
-# mode: the delta path splices shared segment slices across the worker
-# pool and patches serving indexes concurrently consumed by lookups, so
-# byte-equivalence without the race detector proves half the claim.
-# The serving-scoped load rides along: it changes the loader's
-# goroutine fan-out and feeds every delta reload.
+# The incremental-inference equivalence matrix is race-gated even in
+# -quick mode: the library's delta path splices shared segment slices
+# across the worker pool and patches serving indexes concurrently
+# consumed by lookups, so byte-equivalence without the race detector
+# proves half the claim. The serving-scoped load rides along: it changes
+# the loader's goroutine fan-out and feeds every daemon reload, and
+# TestDeltaReloadBreaker drives corrupt epochs through timer reloads.
 echo "== delta equivalence matrix + reload breaker + serving load (race-gated)"
 go test -race -run 'TestDeltaEquivalence|TestDeltaZeroChurnAliases|TestDeltaReloadBreaker|TestServingLoadMatchesFullLoad' .
 
@@ -146,19 +147,19 @@ bench_json() {
 	'
 }
 
-echo "== benchmark smoke (BenchmarkTable1, BenchmarkLoadDataset, BenchmarkInferRegion, reload trio)"
+echo "== benchmark smoke (BenchmarkTable1, BenchmarkLoadDataset, BenchmarkInferRegion, reload benches)"
 # Time-based windows, not tiny fixed counts: BenchmarkTable1 allocates
 # ~2.6MB/op, and a 3-iteration run finishes before GC pressure builds,
 # understating the sustained cost by ~40%. A 1s window reports the
 # steady state the committed baselines must be comparable against.
-bench_out=$(go test -run '^$' -bench 'BenchmarkTable1$|BenchmarkLoadDataset$|BenchmarkFullReload$|BenchmarkServingReload$|BenchmarkDeltaReload$' -benchmem -benchtime 1s -count 3 .)
+bench_out=$(go test -run '^$' -bench 'BenchmarkTable1$|BenchmarkLoadDataset$|BenchmarkFullReload$|BenchmarkServingReload$|BenchmarkDeltaReload$|BenchmarkInferBuild$' -benchmem -benchtime 1s -count 3 .)
 echo "$bench_out"
 infer_out=$(go test -run '^$' -bench 'BenchmarkInferRegion$' -benchmem -benchtime 1s -count 3 ./internal/core)
 echo "$infer_out"
 core_out=$(printf '%s\n%s' "$bench_out" "$infer_out" | bench_min)
 
 echo "== core bench regression gate (vs committed BENCH_core.json)"
-for b in BenchmarkTable1 BenchmarkLoadDataset BenchmarkInferRegion BenchmarkFullReload BenchmarkServingReload BenchmarkDeltaReload; do
+for b in BenchmarkTable1 BenchmarkLoadDataset BenchmarkInferRegion BenchmarkFullReload BenchmarkServingReload BenchmarkDeltaReload BenchmarkInferBuild; do
 	bench_gate BENCH_core.json "$b" "$(bench_val "$core_out" "$b" ns/op)" "$(bench_val "$core_out" "$b" allocs/op)"
 done
 
@@ -297,7 +298,7 @@ echo "== telemetry: /metrics scrape smoke"
 # end-to-end proof that instrumentation is actually wired: registry ->
 # server routes -> diag bridge -> exposition. The daemon runs without a
 # reload timer, so the memory families below report a publisher that
-# keeps no delta baseline and has returned its boot build's heap.
+# holds only its serving state and has returned its boot build's heap.
 scrape_dir=$(mktemp -d)
 leased_pid=""
 replica_pid=""

@@ -8,7 +8,6 @@ package ipleasing
 // recovering the generator's planted intent.
 
 import (
-	"context"
 	"fmt"
 	"io/fs"
 	"os"
@@ -21,11 +20,11 @@ import (
 )
 
 // servedSource names the load reports a serving load keeps: the
-// registry dumps, the RIBs, and the three auxiliary sources the
-// inference and the delta diff read.
+// registry dumps, the RIBs, and the two auxiliary sources the
+// inference reads.
 func servedSource(name string) bool {
 	return strings.HasPrefix(name, "whois/") || strings.HasPrefix(name, "bgp/") ||
-		name == "asrel" || name == "as2org" || name == "rpki"
+		name == "asrel" || name == "as2org"
 }
 
 func TestServingLoadMatchesFullLoad(t *testing.T) {
@@ -120,7 +119,7 @@ func checkServingLoad(t *testing.T, dir string, opts LoadOptions) {
 	for name, field := range map[string]any{
 		"Geo": ds.Geo, "Truth": ds.Truth, "Exclusions": ds.Exclusions,
 		"EvalISPs": ds.EvalISPs, "Drop": ds.Drop, "Hijackers": ds.Hijackers,
-		"Brokers": ds.Brokers,
+		"Brokers": ds.Brokers, "RPKI": ds.RPKI,
 	} {
 		if !reflect.ValueOf(field).IsNil() {
 			t.Errorf("serving dataset carries %s", name)
@@ -142,8 +141,8 @@ func checkServingLoad(t *testing.T, dir string, opts LoadOptions) {
 			want = append(want, r)
 		}
 	}
-	if len(want) != len(Registries)+5 {
-		t.Fatalf("full load reported %d served sources, want %d", len(want), len(Registries)+5)
+	if len(want) != len(Registries)+4 {
+		t.Fatalf("full load reported %d served sources, want %d", len(want), len(Registries)+4)
 	}
 	if !reflect.DeepEqual(sum.Reports, want) {
 		t.Errorf("serving reports differ from the full load's served sources:\n got %v\nwant %v",
@@ -193,15 +192,13 @@ func checkPlantedIntent(t *testing.T, world *World, dir string) {
 	}
 }
 
-// checkServingDeltaChain walks a chain of churned epochs through
-// LoadAndInferDelta, each against the previous generation, and requires
-// every epoch's result to be byte-identical to a full load and
-// inference of that epoch.
+// checkServingDeltaChain walks a chain of churned epochs the way a
+// publisher's timer reloads do — one serving-scoped LoadAndInfer per
+// epoch, nothing carried between them — and requires every epoch's
+// result to be byte-identical to a full load and inference of that
+// epoch.
 func checkServingDeltaChain(t *testing.T) {
-	ctx := context.Background()
 	world := Generate(Config{Seed: 31, Scale: 0.005})
-	var prev *Generation
-	deltas := 0
 	for epoch, churn := range []float64{0, 0.01, 0.05, 0.01, 1.0} {
 		if epoch > 0 {
 			Mutate(world, MutateConfig{Seed: int64(400 + epoch), Churn: churn})
@@ -210,24 +207,16 @@ func checkServingDeltaChain(t *testing.T) {
 		if err := world.WriteDir(dir); err != nil {
 			t.Fatal(err)
 		}
-		gen, rep, err := LoadAndInferDelta(ctx, dir, StrictLoad(), Options{}, prev, DeltaChurnFallback)
+		_, _, res, err := LoadAndInfer(dir, StrictLoad(), Options{})
 		if err != nil {
 			t.Fatalf("epoch %d: %v", epoch, err)
-		}
-		if rep.Mode == "delta" {
-			deltas++
 		}
 		full, err := LoadDataset(dir)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got, want := rawResultBytes(t, gen.Result), rawResultBytes(t, full.Infer(Options{})); got != want {
-			t.Fatalf("epoch %d (churn %g, mode %s): serving delta result differs from full inference",
-				epoch, churn, rep.Mode)
+		if got, want := rawResultBytes(t, res), rawResultBytes(t, full.Infer(Options{})); got != want {
+			t.Fatalf("epoch %d (churn %g): serving reload result differs from full inference", epoch, churn)
 		}
-		prev = gen
-	}
-	if deltas == 0 {
-		t.Error("no epoch of the chain took the delta path")
 	}
 }

@@ -105,8 +105,11 @@ func TestColdStartRunsZeroInference(t *testing.T) {
 		t.Fatalf("cold start re-ran inference work: spans %v", hits)
 	}
 	got := s.Snapshot()
-	if got == nil || got.Delta == nil || got.Delta.Mode != serve.ModeSnapshot {
-		t.Fatalf("cold-started snapshot not marked %q: %+v", serve.ModeSnapshot, got.Delta)
+	if got == nil || got.LoadMode() == serve.LoadModeBuilt {
+		t.Fatal("cold-started snapshot is marked built, not restored")
+	}
+	if ev := s.LastReload(); ev == nil || ev.Mode != serve.ModeSnapshot {
+		t.Fatalf("cold-start reload event = %+v, want mode=%s", ev, serve.ModeSnapshot)
 	}
 	if got.NumInferences() != snap.NumInferences() {
 		t.Fatalf("cold start serves %d inferences, want %d", got.NumInferences(), snap.NumInferences())

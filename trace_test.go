@@ -37,11 +37,17 @@ func TestTracedLoadAndInfer(t *testing.T) {
 
 	for _, want := range []string{
 		"load.whois", "whois.parse.RIPE", "whois.parse.ARIN",
-		"load.asrel", "load.as2org", "load.rpki", "load.merge",
+		"load.asrel", "load.as2org", "load.merge",
 		"infer.RIPE",
 	} {
 		if spans[want] == nil {
 			t.Errorf("trace missing span %q", want)
+		}
+	}
+	// The serving load parses only what the inference reads.
+	for _, unread := range []string{"load.rpki", "load.geo"} {
+		if spans[unread] != nil {
+			t.Errorf("serving load traced unread source span %q", unread)
 		}
 	}
 	if t.Failed() {
