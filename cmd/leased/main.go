@@ -44,9 +44,11 @@
 // serving state. Timer reloads skip this; the next tick reuses the heap.
 //
 // Persistence and replication (see internal/snapstore): with
-// -snapshot-dir, every serving snapshot is also encoded into a
-// checksummed binary generation file and atomically published to that
-// directory, and a restart cold-starts from the newest valid generation
+// -snapshot-dir, every snapshot a reload builds is encoded into a
+// checksummed binary generation file, atomically published to that
+// directory, and served opened from that file — a generation that
+// cannot be persisted fails the reload and is never served. A restart
+// cold-starts from the newest valid generation
 // in O(bytes) — no dataset parse, no inference — falling back
 // generation by generation past anything corrupt, then to a full load.
 // The current generation is always exposed on /snapshot/current. With

@@ -236,7 +236,6 @@ func serveConfig(cfg Config, b *snapshotBuilder, snaps *snapshots, logger *telem
 		scfg.ReloadEvery = 0
 	}
 	if snaps != nil {
-		scfg.OnSwap = snaps.onSwap
 		scfg.Replication = snaps.replicationStatus
 	}
 	return scfg

@@ -3,7 +3,6 @@ package daemon
 import (
 	"context"
 	"errors"
-	"fmt"
 	"os"
 	"strconv"
 	"sync"
@@ -16,26 +15,30 @@ import (
 )
 
 // snapshots is the daemon's persistence and replication layer, built on
-// internal/snapstore. One struct covers both roles:
+// internal/snapstore. One struct covers both roles, and every
+// generation either serves is opened from its encoded bytes by the same
+// code (serveOpened):
 //
-//   - Publisher (SnapshotDir, no SnapshotURL): every successful
-//     reload is encoded once, durably published to the store, and
-//     exposed on /snapshot/current; cold start decodes the newest valid
-//     on-disk generation instead of re-running inference.
+//   - Publisher (SnapshotDir, no SnapshotURL): every reload that builds
+//     mints the next generation, encodes it once, durably publishes it
+//     to the store and serves it opened from the published file, so
+//     /snapshot/current and the answers come from one set of bytes;
+//     cold start opens the newest valid on-disk generation instead of
+//     re-running inference.
 //   - Replica (SnapshotURL): the reload builder fetches encoded
 //     snapshots from an upstream publisher instead of loading a
 //     dataset; a poll loop probes for new generations and drives
 //     reloads through the serve.Server machinery, so fetch failures
 //     degrade exactly like dataset failures (serve last-good, flip
 //     /readyz, open the breaker). With SnapshotDir too, fetched
-//     generations are cached on disk and a cold start with the
-//     publisher down serves the cache.
+//     generations are stored and mapped like a publisher's, and a cold
+//     start with the publisher down serves the newest of them.
 type snapshots struct {
 	cfg     Config
 	log     *telemetry.Logger
 	metrics *snapstore.Metrics
 
-	store   *snapstore.Store     // nil without SnapshotDir
+	store   *snapstore.Store     // nil only on a replica without SnapshotDir
 	pub     *snapstore.Publisher // /snapshot/current state, always set
 	fetcher *snapstore.Fetcher   // nil without SnapshotURL
 
@@ -91,12 +94,8 @@ func newSnapshots(cfg Config, log *telemetry.Logger, reg *telemetry.Registry) (*
 		ld, err := st.LoadCurrentOpen(snapstore.OpenOptions{})
 		switch {
 		case err == nil:
-			d.cold = ld.Snap
-			d.servingGen.Store(ld.Gen)
-			// The publisher serves /snapshot/current straight from the
-			// mapping (its own reference) instead of a heap copy.
-			if perr := d.pub.SetMapped(ld.Data, backingOf(ld)); perr != nil {
-				log.Warn("publishing cold snapshot failed", "generation", ld.Gen, "err", perr)
+			if d.cold, err = d.serveOpened(ld); err != nil {
+				return nil, err
 			}
 			log.Info("cold start from snapshot store", "dir", cfg.SnapshotDir,
 				"generation", ld.Gen, "inferences", ld.Snap.NumInferences(), "load_mode", ld.Snap.LoadMode())
@@ -122,13 +121,34 @@ func newSnapshots(cfg Config, log *telemetry.Logger, reg *telemetry.Registry) (*
 // of loading a dataset.
 func (d *snapshots) replica() bool { return d != nil && d.fetcher != nil }
 
-// backingOf converts a Loaded's concrete *Mapped to the serve.Backing
-// interface without producing a typed-nil interface for heap loads.
-func backingOf(ld *snapstore.Loaded) serve.Backing {
+// serveOpened is the tail of every generation a daemon serves — cold
+// start, publish and fetch alike: the opened generation's own bytes
+// back /snapshot/current (straight from the mapping when there is one,
+// never a second copy), and it becomes the serving generation. On
+// failure the snapshot is released and nothing changes.
+func (d *snapshots) serveOpened(ld *snapstore.Loaded) (*serve.Snapshot, error) {
+	var backing serve.Backing // a nil *Mapped must not become a typed-nil interface
 	if ld.Backing != nil {
-		return ld.Backing
+		backing = ld.Backing
 	}
-	return nil
+	if err := d.pub.SetMapped(ld.Data, backing); err != nil {
+		ld.Snap.Release()
+		return nil, err
+	}
+	d.servingGen.Store(ld.Gen)
+	return ld.Snap, nil
+}
+
+// open opens the store's generation gen for serving (mapped where the
+// platform allows) and serves it through serveOpened.
+func (d *snapshots) open(ctx context.Context, gen uint64) (*serve.Snapshot, error) {
+	_, span := telemetry.StartSpan(ctx, "open")
+	ld, err := snapstore.OpenFile(d.store.Path(gen), snapstore.OpenOptions{Logger: d.log, Metrics: d.metrics})
+	span.End()
+	if err != nil {
+		return nil, err
+	}
+	return d.serveOpened(ld)
 }
 
 // takeCold consumes the snapshot recovered from disk, once.
@@ -140,23 +160,10 @@ func (d *snapshots) takeCold() *serve.Snapshot {
 	return snap
 }
 
-// stamp assigns a freshly built snapshot its generation number at build
-// time. Stamping here — instead of minting in onSwap — means the
-// serving snapshot pointer, /statusz, and the identity header all carry
-// the generation before the swap publishes it, so they can never
-// disagree. Snapshots that already carry one (decoded from the store or
-// the wire) keep it.
-func (d *snapshots) stamp(snap *serve.Snapshot) *serve.Snapshot {
-	if snap != nil && snap.Generation == 0 {
-		snap.Generation = d.nextGen.Add(1)
-	}
-	return snap
-}
-
-// wrapBuild layers cold-start recovery and generation stamping over the
-// dataset build: the first reload serves the decoded on-disk generation
-// — O(bytes), no dataset parse, no inference — and every later reload
-// builds fresh.
+// wrapBuild layers cold-start recovery and publication over the
+// dataset build: the first reload serves the on-disk generation
+// recovered at startup — O(bytes), no dataset parse, no inference —
+// and every later reload builds fresh and publishes what it built.
 func (d *snapshots) wrapBuild(build func(ctx context.Context) (*serve.Snapshot, error)) func(ctx context.Context) (*serve.Snapshot, error) {
 	if d == nil {
 		return build
@@ -169,83 +176,127 @@ func (d *snapshots) wrapBuild(build func(ctx context.Context) (*serve.Snapshot, 
 		if err != nil {
 			return nil, err
 		}
-		return d.stamp(snap), nil
+		return d.publish(ctx, snap)
 	}
 }
 
-// buildFromFetch is the replica's serve.Config.Build: pull the current
-// encoded snapshot from the upstream publisher, decode (which
-// re-validates every checksum), persist it to the local cache when one
-// is configured, and republish it on this daemon's own
-// /snapshot/current so replicas chain. A fetch or decode failure is
-// returned to the serve retry/backoff/breaker machinery; the cached
-// cold snapshot (if any) answers only when the very first fetch fails —
-// a replica that has never reached its publisher still starts from its
+// publish turns a freshly built snapshot into the generation this
+// publisher serves: mint the next generation number, stamp the build
+// time and the reload's traceparent, encode once, durably publish to
+// the store, then open the published file. The publisher answers from
+// the opened generation — the same bytes and the same open path as
+// every replica — and the built snapshot is garbage once this returns.
+// A failed persist or open fails the reload attempt (retry, backoff,
+// breaker) with the last good generation still serving, so no
+// generation number is ever served without its file on disk.
+func (d *snapshots) publish(ctx context.Context, built *serve.Snapshot) (*serve.Snapshot, error) {
+	gen := d.nextGen.Add(1)
+	built.BuiltAt = time.Now()
+	built.Provenance = telemetry.SpanFrom(ctx).Traceparent()
+	_, span := telemetry.StartSpan(ctx, "publish")
+	span.SetAttr("generation", strconv.FormatUint(gen, 10))
+	data := snapstore.Encode(built, gen)
+	span.AddBytes(int64(len(data)))
+	err := d.store.PublishEncoded(data)
+	if err != nil {
+		span.SetAttr("error", err.Error())
+	}
+	span.End()
+	if err != nil {
+		return nil, err
+	}
+	snap, err := d.open(ctx, gen)
+	if err != nil {
+		return nil, err
+	}
+	snap.Inferred = true
+	return snap, nil
+}
+
+// buildFromFetch is the replica's serve.Config.Build: fetch the
+// publisher's current generation and serve it (fetchOpen). A failure
+// is returned to the serve retry/backoff/breaker machinery; the cached
+// cold snapshot (if any) answers only while no fetch has succeeded — a
+// replica that has never reached its publisher still starts from its
 // cache.
 func (d *snapshots) buildFromFetch(ctx context.Context) (*serve.Snapshot, error) {
-	if d.store != nil {
-		return d.buildFromFetchFile(ctx)
-	}
-	fetchCtx, fetchSpan := telemetry.StartSpan(ctx, "fetch")
-	data, gen, err := d.fetcher.Fetch(fetchCtx)
-	if err != nil {
-		if !errors.Is(err, snapstore.ErrUnchanged) {
-			fetchSpan.End()
-			d.noteError(err)
-			if snap := d.takeCold(); snap != nil {
-				d.log.Warn("publisher unreachable, serving cached snapshot",
-					"url", d.cfg.SnapshotURL, "generation", d.servingGen.Load(), "err", err)
-				return snap, nil
-			}
-			return nil, err
-		}
+	snap, err := d.fetchOpen(ctx)
+	if errors.Is(err, snapstore.ErrUnchanged) {
 		// A 304 can only race a forced reload that lost to a concurrent
 		// etag update; re-fetch unconditionally rather than fail it.
 		d.fetcher.Invalidate()
-		if data, gen, err = d.fetcher.Fetch(fetchCtx); err != nil {
-			fetchSpan.End()
-			d.noteError(err)
-			return nil, err
-		}
+		snap, err = d.fetchOpen(ctx)
 	}
-	fetchSpan.AddBytes(int64(len(data)))
-	fetchSpan.End()
-	_, decodeSpan := telemetry.StartSpan(ctx, "decode")
-	snap, fileGen, err := snapstore.Decode(data)
-	decodeSpan.End()
 	if err != nil {
 		d.noteError(err)
+		if cold := d.takeCold(); cold != nil {
+			d.log.Warn("fetch failed, serving cached snapshot",
+				"url", d.cfg.SnapshotURL, "generation", d.servingGen.Load(), "err", err)
+			return cold, nil
+		}
 		return nil, err
 	}
-	if fileGen != gen {
-		err := fmt.Errorf("fetched snapshot header says generation %d, transport said %d", fileGen, gen)
-		d.noteError(err)
-		return nil, err
-	}
-	// Link this reload to the publisher's: the decoded snapshot carries
-	// the traceparent of the publisher reload that built the generation,
+	// Link this reload to the publisher's: the snapshot carries the
+	// traceparent of the publisher reload that built the generation,
 	// and adopting it re-identifies the replica's reload trace (fetch,
-	// decode, the swap to come) as part of that generation's lifecycle
-	// trace. On failure paths above the trace keeps its local ID, which
-	// the fetch hop already emitted to the publisher — so the two halves
-	// of an error join on that ID instead.
+	// open, the swap to come) as part of that generation's lifecycle
+	// trace. On failure paths the trace keeps its local ID, which the
+	// fetch hop already emitted to the publisher — so the two halves of
+	// an error join on that ID instead.
 	if sc, ok := telemetry.ParseTraceparent(snap.Provenance); ok {
 		telemetry.AdoptRemoteParent(ctx, sc)
 	}
-	d.noteContact(gen)
-	d.servingGen.Store(gen)
+	d.noteContact(snap.Generation)
 	d.dropCold()
-	if d.store != nil {
-		_, persistSpan := telemetry.StartSpan(ctx, "persist")
-		if err := d.store.PublishEncoded(data); err != nil {
-			d.log.Warn("caching fetched snapshot failed", "generation", gen, "err", err)
-			persistSpan.SetAttr("error", err.Error())
-		}
-		persistSpan.End()
-	}
-	d.pub.Set(data)
 	d.observeLag()
 	return snap, nil
+}
+
+// fetchOpen pulls the publisher's current generation and serves it.
+// With a store, the body streams straight to a temp file in the store
+// directory (never buffered on the heap), is adopted as a generation
+// file and opened like a publisher's own — mapped, so a reload's
+// transient memory is one copy buffer whatever the snapshot size, and
+// the fetched bytes sit in the page cache once, shared by the mapping
+// and /snapshot/current. Without a store the body is decoded on the
+// heap, which re-validates every checksum.
+func (d *snapshots) fetchOpen(ctx context.Context) (*serve.Snapshot, error) {
+	fetchCtx, fetchSpan := telemetry.StartSpan(ctx, "fetch")
+	if d.store == nil {
+		data, gen, err := d.fetcher.Fetch(fetchCtx)
+		fetchSpan.AddBytes(int64(len(data)))
+		fetchSpan.End()
+		if err != nil {
+			return nil, err
+		}
+		_, decodeSpan := telemetry.StartSpan(ctx, "decode")
+		snap, _, err := snapstore.Decode(data)
+		decodeSpan.End()
+		if err != nil {
+			return nil, err
+		}
+		return d.serveOpened(&snapstore.Loaded{Snap: snap, Gen: gen, Data: data})
+	}
+	tmpPath, gen, err := d.fetcher.FetchToFile(fetchCtx, d.store.Dir())
+	if err == nil {
+		if fi, serr := os.Stat(tmpPath); serr == nil {
+			fetchSpan.AddBytes(fi.Size())
+		}
+	}
+	fetchSpan.End()
+	if err != nil {
+		return nil, err
+	}
+	_, persistSpan := telemetry.StartSpan(ctx, "persist")
+	err = d.store.AdoptFile(tmpPath, gen)
+	persistSpan.End()
+	if err != nil {
+		return nil, err
+	}
+	// The whole-file CRC passed during the stream, so an open failure is
+	// local damage (torn write, disk fault); the generation file stays
+	// for post-mortem and LoadCurrentOpen skips it.
+	return d.open(ctx, gen)
 }
 
 // dropCold discards a cached cold snapshot a live fetch has
@@ -259,110 +310,6 @@ func (d *snapshots) dropCold() {
 	if snap != nil {
 		snap.Release()
 	}
-}
-
-// buildFromFetchFile is buildFromFetch for a replica with a local
-// store: the body streams straight to a temp file
-// in the store directory (never buffered on the heap), is adopted as a
-// generation file, and the serving snapshot is opened as views over
-// the mapped file — so a replica reload's transient memory is one
-// 256 KiB copy buffer regardless of snapshot size, and the fetched
-// bytes land in the page cache once, shared by the mapping and
-// /snapshot/current re-serving.
-func (d *snapshots) buildFromFetchFile(ctx context.Context) (*serve.Snapshot, error) {
-	fetchCtx, fetchSpan := telemetry.StartSpan(ctx, "fetch")
-	dir := d.store.Dir()
-	tmpPath, gen, err := d.fetcher.FetchToFile(fetchCtx, dir)
-	if err != nil {
-		if !errors.Is(err, snapstore.ErrUnchanged) {
-			fetchSpan.End()
-			d.noteError(err)
-			if snap := d.takeCold(); snap != nil {
-				d.log.Warn("publisher unreachable, serving cached snapshot",
-					"url", d.cfg.SnapshotURL, "generation", d.servingGen.Load(), "err", err)
-				return snap, nil
-			}
-			return nil, err
-		}
-		// A 304 can only race a forced reload that lost to a concurrent
-		// etag update; re-fetch unconditionally rather than fail it.
-		d.fetcher.Invalidate()
-		if tmpPath, gen, err = d.fetcher.FetchToFile(fetchCtx, dir); err != nil {
-			fetchSpan.End()
-			d.noteError(err)
-			return nil, err
-		}
-	}
-	if fi, serr := os.Stat(tmpPath); serr == nil {
-		fetchSpan.AddBytes(fi.Size())
-	}
-	fetchSpan.End()
-	_, persistSpan := telemetry.StartSpan(ctx, "persist")
-	path, err := d.store.AdoptFile(tmpPath, gen)
-	persistSpan.End()
-	if err != nil {
-		os.Remove(tmpPath)
-		d.noteError(err)
-		return nil, err
-	}
-	_, openSpan := telemetry.StartSpan(ctx, "open")
-	ld, err := snapstore.OpenFile(path, snapstore.OpenOptions{Logger: d.log, Metrics: d.metrics})
-	openSpan.End()
-	if err != nil {
-		// The whole-file CRC passed during the stream, so this is local
-		// damage (torn write, disk fault); the generation file stays for
-		// post-mortem and LoadCurrentOpen skips it.
-		d.noteError(err)
-		return nil, err
-	}
-	// Link this reload to the publisher's generation trace (see
-	// buildFromFetch).
-	if sc, ok := telemetry.ParseTraceparent(ld.Snap.Provenance); ok {
-		telemetry.AdoptRemoteParent(ctx, sc)
-	}
-	d.noteContact(gen)
-	d.servingGen.Store(gen)
-	d.dropCold()
-	if perr := d.pub.SetMapped(ld.Data, backingOf(ld)); perr != nil {
-		d.log.Warn("republishing fetched snapshot failed", "generation", gen, "err", perr)
-	}
-	d.observeLag()
-	return ld.Snap, nil
-}
-
-// onSwap is the publisher's serve.Config.OnSwap hook: encode the newly
-// serving snapshot once and publish the same bytes to disk and to
-// /snapshot/current. Runs on the reload goroutine after the swap; a
-// failure here degrades persistence, never the reload.
-func (d *snapshots) onSwap(ctx context.Context, snap *serve.Snapshot) {
-	if d == nil || d.replica() {
-		return // the replica path publishes in buildFromFetch, from the fetched bytes
-	}
-	if snap.LoadMode() != serve.LoadModeBuilt {
-		return // restored from the store at cold start; already durable and published
-	}
-	gen := snap.Generation
-	if gen == 0 {
-		// The build wrappers stamp every fresh snapshot, so this only
-		// happens for snapshots minted outside the daemon (tests driving
-		// serve.Config directly). Mint locally without mutating snap — it
-		// is already published to concurrent readers.
-		gen = d.nextGen.Add(1)
-	}
-	_, span := telemetry.StartSpan(ctx, "publish")
-	defer span.End()
-	span.SetAttr("generation", strconv.FormatUint(gen, 10))
-	data := snapstore.Encode(snap, gen)
-	span.AddBytes(int64(len(data)))
-	d.servingGen.Store(gen)
-	if d.store != nil {
-		if err := d.store.PublishEncoded(data); err != nil {
-			d.log.Error("snapshot persistence failed", "generation", gen, "err", err)
-			span.SetAttr("error", err.Error())
-			return
-		}
-	}
-	d.pub.Set(data)
 }
 
 func (d *snapshots) noteContact(upstreamGen uint64) {

@@ -7,12 +7,18 @@ package daemon
 
 import (
 	"context"
+	"encoding/json"
+	"io"
 	"net/http"
 	"os"
 	"path/filepath"
+	"sort"
 	"strings"
+	"syscall"
 	"testing"
 	"time"
+
+	"ipleasing/internal/serve"
 )
 
 // startDaemonCtx is startDaemon under a caller-owned context, so a test
@@ -142,17 +148,57 @@ func TestDaemonPersistsAndColdStarts(t *testing.T) {
 	}
 }
 
-// TestReplicaServesAndSurvivesPublisherOutage: a replica with no
-// dataset serves the publisher's snapshot byte-for-byte, re-exposes it
-// for chaining, then keeps serving — degraded, not down — when the
-// publisher disappears.
+// statuszModes reads a daemon's serving load mode and the mode of its
+// last reload off /statusz.
+func statuszModes(t *testing.T, base string) (loadMode, reloadMode string) {
+	t.Helper()
+	_, body := getBody(t, base+"/statusz")
+	var st struct {
+		Snapshot struct {
+			LoadMode string `json:"load_mode"`
+		} `json:"snapshot"`
+		Reload struct {
+			History []serve.ReloadEvent `json:"history"`
+		} `json:"reload"`
+	}
+	if err := json.Unmarshal([]byte(body), &st); err != nil {
+		t.Fatalf("statusz JSON: %v\n%s", err, body)
+	}
+	if n := len(st.Reload.History); n > 0 {
+		reloadMode = st.Reload.History[n-1].Mode
+	}
+	return st.Snapshot.LoadMode, reloadMode
+}
+
+// postBody POSTs a JSON body and returns the response body.
+func postBody(t *testing.T, url, body string) string {
+	t.Helper()
+	resp, err := http.Post(url, "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatalf("POST %s: %v", url, err)
+	}
+	defer resp.Body.Close()
+	b, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(b)
+}
+
+// TestReplicaServesAndSurvivesPublisherOutage: replicas with no
+// dataset — one store-less, one with its own store — serve the
+// publisher's snapshot byte-for-byte, re-expose it for chaining, then
+// keep serving — degraded, not down — when the publisher disappears.
+// The publisher answers from the generation it published, opened from
+// its own file like the store replica's, so all three answer alike
+// because they share the open path, not because a build and a decode
+// happen to agree.
 func TestReplicaServesAndSurvivesPublisherOutage(t *testing.T) {
 	dir := dataset(t)
+	pubSnaps := filepath.Join(t.TempDir(), "snaps")
 
 	ctxP, cancelP := context.WithCancel(context.Background())
-	pubBase, _, errcP := startDaemonCtx(t, ctxP, dir, Config{
-		SnapshotDir: filepath.Join(t.TempDir(), "snaps"),
-	})
+	pubBase, _, errcP := startDaemonCtx(t, ctxP, dir, Config{SnapshotDir: pubSnaps})
 
 	ctxR, cancelR := context.WithCancel(context.Background())
 	repBase, logsR, errcR := startDaemonCtx(t, ctxR,
@@ -162,13 +208,55 @@ func TestReplicaServesAndSurvivesPublisherOutage(t *testing.T) {
 		})
 	defer stopDaemon(t, cancelR, errcR)
 
+	ctxS, cancelS := context.WithCancel(context.Background())
+	storeBase, _, errcS := startDaemonCtx(t, ctxS,
+		filepath.Join(t.TempDir(), "no-dataset-here"), Config{
+			SnapshotURL: pubBase + "/snapshot/current",
+			SnapshotDir: filepath.Join(t.TempDir(), "replica-snaps"),
+			Poll:        50 * time.Millisecond,
+		})
+	defer stopDaemon(t, cancelS, errcS)
+
+	for _, m := range []struct{ name, base, load, reload string }{
+		{"publisher", pubBase, serve.LoadModeMmap, serve.ModeFull},
+		{"store-less replica", repBase, serve.LoadModeHeap, serve.ModeSnapshot},
+		{"store replica", storeBase, serve.LoadModeMmap, serve.ModeSnapshot},
+	} {
+		if load, reload := statuszModes(t, m.base); load != m.load || reload != m.reload {
+			t.Errorf("%s: load_mode %q, last reload mode %q; want %q, %q", m.name, load, reload, m.load, m.reload)
+		}
+	}
+
 	// Byte-identical service across every query surface.
 	for _, p := range []string{"/table1", "/loadreport", "/lookup?ip=203.0.113.99", "/lookup?prefix=10.0.0.0/24"} {
 		_, want := getBody(t, pubBase+p)
-		_, got := getBody(t, repBase+p)
-		if got != want {
-			t.Errorf("replica %s diverged:\n got: %s\nwant: %s", p, got, want)
+		for _, base := range []string{repBase, storeBase} {
+			if _, got := getBody(t, base+p); got != want {
+				t.Errorf("replica %s %s diverged:\n got: %s\nwant: %s", base, p, got, want)
+			}
 		}
+	}
+	batch := `{"ips": ["203.0.113.99", "10.0.0.1", "198.51.100.7", "not-an-ip"]}`
+	want := postBody(t, pubBase+"/lookup/batch", batch)
+	for _, base := range []string{repBase, storeBase} {
+		if got := postBody(t, base+"/lookup/batch", batch); got != want {
+			t.Errorf("replica %s /lookup/batch diverged:\n got: %s\nwant: %s", base, got, want)
+		}
+	}
+
+	// The publisher re-serves the file it persisted, not a second copy.
+	gens, err := filepath.Glob(filepath.Join(pubSnaps, "gen-*.snap"))
+	if err != nil || len(gens) == 0 {
+		t.Fatalf("publisher store holds no generation file (%v)", err)
+	}
+	sort.Strings(gens)
+	onDisk, err := os.ReadFile(gens[len(gens)-1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, served := getBody(t, pubBase+"/snapshot/current"); served != string(onDisk) {
+		t.Errorf("publisher /snapshot/current (%d bytes) differs from its newest %s (%d bytes)",
+			len(served), filepath.Base(gens[len(gens)-1]), len(onDisk))
 	}
 	// The replica chains: its own /snapshot/current serves the same
 	// generation it fetched.
@@ -318,5 +406,86 @@ func TestReplicaColdCacheServesWithPublisherDown(t *testing.T) {
 	}
 	if !strings.Contains(logs2.String(), "serving cached snapshot") {
 		t.Errorf("cache fallback not logged:\n%s", logs2.String())
+	}
+}
+
+// TestPublisherPersistFailureFailsReload: a publisher that cannot
+// persist a generation must not serve it. The reload fails — and
+// counts as failed — while the last published generation keeps
+// answering and stays the one /snapshot/current offers, so no
+// generation number is ever served without its file on disk.
+func TestPublisherPersistFailureFailsReload(t *testing.T) {
+	dir := dataset(t)
+	snaps := filepath.Join(t.TempDir(), "snaps")
+	ctx, cancel := context.WithCancel(context.Background())
+	base, logs, errc := startDaemonCtx(t, ctx, dir, Config{SnapshotDir: snaps})
+	defer stopDaemon(t, cancel, errc)
+
+	if gen := snapshotCurrentGen(t, base); gen != "1" {
+		t.Fatalf("published generation = %q, want 1", gen)
+	}
+	_, published := getBody(t, base+"/snapshot/current")
+	failures := func() string {
+		_, metrics := getBody(t, base+"/metrics")
+		for _, line := range strings.Split(metrics, "\n") {
+			if v, ok := strings.CutPrefix(line, "reload_failures_total "); ok {
+				return v
+			}
+		}
+		t.Fatalf("/metrics lacks reload_failures_total:\n%s", metrics)
+		return ""
+	}
+	if n := failures(); n != "0" {
+		t.Fatalf("reload_failures_total = %s before the fault", n)
+	}
+
+	// The store directory becomes a regular file: no temp file can be
+	// created in it, whatever the process's privileges.
+	if err := os.RemoveAll(snaps); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(snaps, []byte("not a directory"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	cycles := reloadCycles(t, base)
+	if err := syscall.Kill(os.Getpid(), syscall.SIGHUP); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(30 * time.Second)
+	for reloadCycles(t, base) == cycles {
+		if time.Now().After(deadline) {
+			t.Fatalf("forced reload never finished; logs:\n%s", logs.String())
+		}
+		time.Sleep(20 * time.Millisecond)
+	}
+
+	_, statusz := getBody(t, base+"/statusz")
+	var st struct {
+		Reload struct {
+			History []serve.ReloadEvent `json:"history"`
+		} `json:"reload"`
+	}
+	if err := json.Unmarshal([]byte(statusz), &st); err != nil {
+		t.Fatal(err)
+	}
+	if h := st.Reload.History; len(h) == 0 || h[len(h)-1].OK {
+		t.Fatalf("reload with an unwritable store succeeded: %s", statusz)
+	}
+	if n := failures(); n != "1" {
+		t.Errorf("reload_failures_total = %s after the failed reload, want 1", n)
+	}
+	resp, err := http.Get(base + "/lookup?ip=203.0.113.99")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if gen := resp.Header.Get(serve.GenerationHeader); gen != "1" {
+		t.Errorf("publisher answers with generation %q after the failed reload, want 1", gen)
+	}
+	if gen := snapshotCurrentGen(t, base); gen != "1" {
+		t.Errorf("/snapshot/current offers generation %q after the failed reload, want 1", gen)
+	}
+	if _, got := getBody(t, base+"/snapshot/current"); got != published {
+		t.Error("/snapshot/current bytes changed across the failed reload")
 	}
 }

@@ -69,6 +69,7 @@ func PatchSnapshot(prev *Snapshot, res *core.Result, plan *core.PatchPlan, repor
 		Result:          res,
 		Reports:         reports,
 		SkippedAnalyses: skippedAnalyses,
+		Inferred:        true,
 		Delta:           &DeltaInfo{Mode: ModeDelta},
 	}
 	s.infs = res.Flat()

@@ -50,6 +50,7 @@ func awaitIdle(t *testing.T, s *Server) {
 func snapshotMode(context.Context) (*Snapshot, error) {
 	snap := testSnapshot()
 	snap.loadMode = LoadModeHeap
+	snap.Inferred = false
 	return snap, nil
 }
 

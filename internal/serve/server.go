@@ -49,19 +49,14 @@ const (
 // Config wires a Server. Build is the only required field.
 type Config struct {
 	// Build constructs the next snapshot: load the dataset, run the
-	// inference, index it. It runs outside the request path (the caller's
-	// reload goroutine); a panic inside it is recovered and treated as a
-	// build error, never a process kill.
+	// inference, index it — or restore one from snapshot bytes. It runs
+	// outside the request path (the caller's reload goroutine); a panic
+	// inside it is recovered and treated as a build error, never a
+	// process kill. Whatever must happen before a snapshot serves
+	// (persisting and publishing it) belongs inside Build: its error
+	// fails the attempt, and the swap installs exactly what it returned.
+	// The snapshot's Inferred marker decides the reload mode.
 	Build func(ctx context.Context) (*Snapshot, error)
-
-	// OnSwap, when set, observes every successfully swapped-in snapshot
-	// after it becomes the serving snapshot. It runs synchronously on
-	// the reload goroutine — keep it bounded (the daemon uses it to
-	// persist and publish the new generation). The context carries the
-	// reload's trace span (if the cycle is traced) so observer work
-	// shows up in the reload trace. A panic inside it is contained and
-	// logged; it can never fail the reload that already succeeded.
-	OnSwap func(ctx context.Context, snap *Snapshot)
 
 	// Replication, when set, reports the daemon's snapshot replication
 	// state. /statusz embeds it and /readyz attaches the generation lag,
@@ -196,9 +191,10 @@ type ReloadEvent struct {
 	Forced     bool      `json:"forced"`
 	Attempts   int       `json:"attempts"`
 	DurationMS int64     `json:"duration_ms"`
-	// Mode is ModeFull when the cycle built its snapshot in-process and
-	// ModeSnapshot when it restored one from snapshot bytes (a store
-	// generation or a fetched body); a failed cycle reports ModeFull.
+	// Mode is ModeFull when the cycle ran inference (the snapshot's
+	// Inferred marker) and ModeSnapshot when it only restored snapshot
+	// bytes (a cold-start store generation or a fetched body); a failed
+	// cycle reports ModeFull.
 	Mode  string `json:"mode,omitempty"`
 	Error string `json:"error,omitempty"`
 }
@@ -666,16 +662,16 @@ func (s *Server) Reload(ctx context.Context, forced bool) error {
 				snap.BuiltAt = s.cfg.now()
 			}
 			// A restored snapshot (store generation, fetched body) ran
-			// no build; report what actually ran.
-			if snap.LoadMode() != LoadModeBuilt {
+			// no inference; report what actually ran.
+			if !snap.Inferred {
 				mode = ModeSnapshot
 				span.SetAttr("mode", mode)
 			}
 			// Stamp the snapshot's provenance — the traceparent of this
 			// reload span — before the swap publishes the pointer, so
 			// readers never observe a mutation. Snapshots that arrived
-			// with provenance (a replica decode) keep the original
-			// publisher's.
+			// with provenance (a replica decode, a publisher's reopened
+			// generation) keep the one their bytes carry.
 			if snap.Provenance == "" {
 				snap.Provenance = span.Traceparent()
 			}
@@ -685,12 +681,11 @@ func (s *Server) Reload(ctx context.Context, forced bool) error {
 			if snap.Generation != 0 {
 				span.SetAttr("generation", strconv.FormatUint(snap.Generation, 10))
 			}
-			swapCtx, swapSpan := telemetry.StartSpan(ctx, "swap")
+			_, swapSpan := telemetry.StartSpan(ctx, "swap")
 			old := s.snap.Swap(snap)
 			// Roll the load's per-source accounting onto the ingest_*
 			// counter families so data loss is scrapeable per reload.
 			diag.ObserveReports(s.cfg.Metrics, snap.Reports)
-			s.notifySwap(swapCtx, snap)
 			swapSpan.End()
 			// Drop the retired snapshot's serving reference. For a
 			// view-backed (mmap) snapshot this is the drain point: the
@@ -766,21 +761,6 @@ func (s *Server) runHeapReturn() {
 		}
 		s.heapReturn.Store(1) // was 2: run once more for the pending request
 	}
-}
-
-// notifySwap runs the OnSwap observer with panic containment: the swap
-// already happened, so an observer bug degrades to a logged error, never
-// a failed reload or a dead daemon.
-func (s *Server) notifySwap(ctx context.Context, snap *Snapshot) {
-	if s.cfg.OnSwap == nil {
-		return
-	}
-	defer func() {
-		if v := recover(); v != nil {
-			s.cfg.Logger.Error("snapshot swap observer panicked", "panic", v)
-		}
-	}()
-	s.cfg.OnSwap(ctx, snap)
 }
 
 // finishReload records a completed cycle and drives the breaker.

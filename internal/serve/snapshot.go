@@ -57,6 +57,12 @@ type Snapshot struct {
 	Reports []*diag.LoadReport
 	// SkippedAnalyses names analyses the load's dataset cannot support.
 	SkippedAnalyses []string
+	// Inferred marks a snapshot whose reload ran inference: NewSnapshot
+	// and PatchSnapshot set it, and so does a publisher on the
+	// generation it opens from the bytes it just encoded. Restore leaves
+	// it false, so a cold start or a replica fetch reloads in
+	// ModeSnapshot whatever its LoadMode.
+	Inferred bool
 	// Delta, when non-nil, describes how PatchSnapshot produced the
 	// snapshot on the library's incremental path; nil means any other
 	// origin.
@@ -120,10 +126,13 @@ func (s *Snapshot) Release() {
 	}
 }
 
-// LoadMode reports how the snapshot's indexes were materialized:
-// LoadModeBuilt (constructed in-process), LoadModeHeap (restored from
-// snapshot bytes on the heap), or LoadModeMmap (restored as views over
-// a mapped file — the restored snapshots with a backing).
+// LoadMode reports how the snapshot's indexes are held: LoadModeBuilt
+// (constructed in-process), LoadModeHeap (restored from snapshot bytes
+// on the heap), or LoadModeMmap (restored as views over a mapped file —
+// the restored snapshots with a backing). It says nothing about what
+// the reload ran: a publisher's generation is inferred and then
+// reopened from its own file, so it is LoadModeMmap; Inferred says
+// which reloads ran inference.
 func (s *Snapshot) LoadMode() string {
 	if s.loadMode == "" {
 		return LoadModeBuilt
@@ -138,6 +147,7 @@ func NewSnapshot(res *core.Result, reports []*diag.LoadReport, skippedAnalyses [
 		Result:          res,
 		Reports:         reports,
 		SkippedAnalyses: skippedAnalyses,
+		Inferred:        true,
 	}
 	s.infs = res.Flat()
 	ps := make([]netutil.Prefix, len(s.infs))
@@ -194,7 +204,6 @@ type Restored struct {
 	// the snapshot takes over one reference to it (refcount 1 at birth)
 	// and releases it when its own last reference drops. It also labels
 	// the snapshot: LoadModeMmap with a backing, LoadModeHeap without.
-	// Either label makes a reload that serves it a ModeSnapshot reload.
 	Backing Backing
 }
 

@@ -228,20 +228,6 @@ func BenchmarkLookupAddr(b *testing.B) {
 	}
 }
 
-// BenchmarkLookupAddrMapWalk is the retired implementation on the same
-// workload, kept for the speedup ratio in the README's table.
-func BenchmarkLookupAddrMapWalk(b *testing.B) {
-	rng := rand.New(rand.NewSource(2))
-	s := randomLeafSnapshot(rng, 8192)
-	byPrefix := byPrefixOf(s)
-	addrs := addrsForBench(s, 1024)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		mapWalkLookupAddr(byPrefix, addrs[i%len(addrs)])
-	}
-}
-
 // BenchmarkLookupBatch measures amortized per-batch cost with a reused
 // destination slice — the shape of the /lookup/batch handler's loop.
 func BenchmarkLookupBatch(b *testing.B) {

@@ -1,6 +1,7 @@
 package snapstore
 
 import (
+	"bytes"
 	"context"
 	"encoding/binary"
 	"errors"
@@ -134,26 +135,25 @@ func NewPublisher() *Publisher { return &Publisher{} }
 func (p *Publisher) Set(data []byte) error { return p.SetMapped(data, nil) }
 
 // SetMapped publishes an encoded snapshot whose bytes alias a
-// refcounted backing — a publisher cold-starting from its own
-// memory-mapped generation file serves /snapshot/current straight from
-// the mapping instead of holding a second heap copy. The publisher
-// takes its own reference (the caller must still hold one) and drops
-// it when the publication is replaced. A nil backing is plain Set.
+// refcounted backing — the Loaded.Data of a generation a daemon just
+// opened from its store, so /snapshot/current serves straight from the
+// mapping the answers come from instead of holding a second heap copy.
+// The publisher takes its own reference (the caller must still hold
+// one) and drops it when the publication is replaced. A nil backing is
+// plain Set.
 func (p *Publisher) SetMapped(data []byte, backing serve.Backing) error {
-	gen, err := ReadGeneration(data)
-	if err != nil {
-		return err
+	gen, payloads, cerr := parseFile(data)
+	if cerr != nil {
+		return cerr
 	}
-	// The bytes just passed the whole-file checksum, so a provenance
-	// read can only fail on a meta reshape bug — surface that too.
-	prov, err := ReadProvenance(data)
-	if err != nil {
-		return err
+	meta, cerr := decodeMeta(payloads[secMeta])
+	if cerr != nil {
+		return cerr
 	}
 	if backing != nil && !backing.Acquire() {
 		return errors.New("snapstore: publish backing already released")
 	}
-	old := p.cur.Swap(&publication{gen: gen, etag: genETag(gen), prov: prov, data: data, backing: backing})
+	old := p.cur.Swap(&publication{gen: gen, etag: genETag(gen), prov: meta.provenance, data: data, backing: backing})
 	if old != nil && old.backing != nil {
 		old.backing.Release()
 	}
@@ -401,64 +401,28 @@ func (f *Fetcher) observeGetErr(err error) {
 
 // Fetch downloads the current snapshot into memory, conditionally on
 // the last generation this fetcher delivered. Returns ErrUnchanged on
-// 304. The body is read in bounded chunks — the byte cap is enforced
-// and replica_fetch_bytes_total counted incrementally while the body
-// streams, so a lying Content-Length or an oversized body is cut off
-// mid-transfer instead of buffered whole. A successful return has
-// already passed the whole-file checksum (ReadGeneration); the caller
-// still runs the full Decode, whose per-section validation is what
-// makes a malicious or truncated body unservable.
+// 304. The body takes the same streaming path as FetchToFile, into one
+// buffer sized from Content-Length: the byte cap is enforced,
+// replica_fetch_bytes_total counted and the whole-file checksum
+// computed while the body streams, so a lying Content-Length or an
+// oversized body is cut off mid-transfer instead of buffered whole. A
+// successful return has passed only the whole-file checksum; the
+// caller still runs the full Decode, whose per-section validation is
+// what makes a malicious or truncated body unservable.
 //
-// Replica daemons that keep an on-disk store prefer FetchToFile, which
+// Replica daemons that keep an on-disk store use FetchToFile, which
 // never holds the body on the heap at all.
 func (f *Fetcher) Fetch(ctx context.Context) ([]byte, uint64, error) {
-	resp, err := f.get(ctx)
+	var buf bytes.Buffer
+	gen, n, err := f.stream(ctx, func(size int64) (io.Writer, error) {
+		buf.Grow(int(size))
+		return &buf, nil
+	})
 	if err != nil {
-		f.observeGetErr(err)
 		return nil, 0, err
 	}
-	defer func() {
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-	}()
-	var data []byte
-	if cl := resp.ContentLength; cl > 0 {
-		if cl > f.maxBytes {
-			f.metrics.observeFetch("error")
-			return nil, 0, fmt.Errorf("snapstore: fetch %s: body exceeds %d byte cap", f.url, f.maxBytes)
-		}
-		data = make([]byte, 0, cl)
-	}
-	buf := make([]byte, 256<<10)
-	for {
-		n, err := resp.Body.Read(buf)
-		if n > 0 {
-			if int64(len(data))+int64(n) > f.maxBytes {
-				f.metrics.observeFetch("error")
-				return nil, 0, fmt.Errorf("snapstore: fetch %s: body exceeds %d byte cap", f.url, f.maxBytes)
-			}
-			data = append(data, buf[:n]...)
-			f.metrics.observeFetchBytes(n)
-		}
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			f.metrics.observeFetch("error")
-			return nil, 0, fmt.Errorf("snapstore: fetch %s: read body: %w", f.url, err)
-		}
-	}
-	gen, err := ReadGeneration(data)
-	if err != nil {
-		f.metrics.observeFetch("corrupt")
-		f.log.Warn("fetched snapshot rejected", "url", f.url, "bytes", len(data), "err", err)
-		return nil, 0, fmt.Errorf("snapstore: fetch %s: %w", f.url, err)
-	}
-	f.storeETag(genETag(gen))
-	f.metrics.observeFetch("ok")
-	f.metrics.observeBytes(len(data))
-	f.log.Info("snapshot fetched", "url", f.url, "generation", gen, "bytes", len(data))
-	return data, gen, nil
+	f.delivered(gen, n)
+	return buf.Bytes(), gen, nil
 }
 
 // crcTailWriter streams a snapshot body to dst while computing the
@@ -540,68 +504,98 @@ func (w *crcTailWriter) finish() (uint64, *CorruptError) {
 
 // FetchToFile downloads the current snapshot by streaming the body to
 // a temp file in dir — the body never lives on the heap, so a replica
-// adopting a multi-hundred-MB generation pays one fixed 256 KiB copy
-// buffer instead of a transient allocation the size of the snapshot.
-// The whole-file checksum is computed and the byte cap enforced while
-// the body streams; the temp file is fsynced before the path is
-// returned and removed on every error path. dir should be the
-// replica's store directory so Store.AdoptFile can rename the result
-// into place (same filesystem) and OpenFile can map it.
+// adopting a multi-hundred-MB generation pays one fixed copy buffer
+// instead of a transient allocation the size of the snapshot. The temp
+// file is fsynced before the path is returned and removed on every
+// error path. dir should be the replica's store directory so
+// Store.AdoptFile can rename the result into place (same filesystem)
+// and OpenFile can map it.
 //
 // As with Fetch, a successful return has passed only the whole-file
 // checksum; adoption-time OpenFile performs the per-section
 // validation.
 func (f *Fetcher) FetchToFile(ctx context.Context, dir string) (string, uint64, error) {
+	var tmp *os.File
+	gen, n, err := f.stream(ctx, func(int64) (io.Writer, error) {
+		var err error
+		tmp, err = os.CreateTemp(dir, ".fetch-*.snap")
+		return tmp, err
+	})
+	if tmp == nil {
+		return "", 0, err
+	}
+	if err == nil {
+		err = tmp.Sync()
+		if cerr := tmp.Close(); err == nil {
+			err = cerr
+		}
+		if err != nil {
+			f.metrics.observeFetch("error")
+			err = fmt.Errorf("snapstore: fetch %s: fsync temp: %w", f.url, err)
+		}
+	} else {
+		tmp.Close()
+	}
+	if err != nil {
+		os.Remove(tmp.Name())
+		return "", 0, err
+	}
+	f.delivered(gen, n)
+	return tmp.Name(), gen, nil
+}
+
+// stream issues the conditional GET and copies a 200 body into the
+// writer open returns (handed the advertised Content-Length, already
+// checked against the byte cap) through a crcTailWriter. It returns
+// the body's generation and length once the whole-file checksum and
+// the header validate; every failure is counted on
+// replica_fetch_total before it returns.
+func (f *Fetcher) stream(ctx context.Context, open func(size int64) (io.Writer, error)) (uint64, int64, error) {
 	resp, err := f.get(ctx)
 	if err != nil {
 		f.observeGetErr(err)
-		return "", 0, err
+		return 0, 0, err
 	}
 	defer func() {
 		io.Copy(io.Discard, resp.Body)
 		resp.Body.Close()
 	}()
-	if cl := resp.ContentLength; cl > 0 && cl > f.maxBytes {
+	size := max(resp.ContentLength, 0)
+	if size > f.maxBytes {
 		f.metrics.observeFetch("error")
-		return "", 0, fmt.Errorf("snapstore: fetch %s: body exceeds %d byte cap", f.url, f.maxBytes)
+		return 0, 0, f.errTooBig()
 	}
-	tmp, err := os.CreateTemp(dir, ".fetch-*.snap")
+	dst, err := open(size)
 	if err != nil {
 		f.metrics.observeFetch("error")
-		return "", 0, fmt.Errorf("snapstore: fetch %s: %w", f.url, err)
+		return 0, 0, fmt.Errorf("snapstore: fetch %s: %w", f.url, err)
 	}
-	tmpPath := tmp.Name()
-	fail := func(outcome string, err error) (string, uint64, error) {
-		tmp.Close()
-		os.Remove(tmpPath)
-		f.metrics.observeFetch(outcome)
-		return "", 0, err
-	}
-	w := &crcTailWriter{dst: tmp, max: f.maxBytes, onBytes: f.metrics.observeFetchBytes}
+	w := &crcTailWriter{dst: dst, max: f.maxBytes, onBytes: f.metrics.observeFetchBytes}
 	if _, err := io.Copy(w, resp.Body); err != nil {
+		f.metrics.observeFetch("error")
 		if errors.Is(err, errBodyTooBig) {
-			err = fmt.Errorf("snapstore: fetch %s: body exceeds %d byte cap", f.url, f.maxBytes)
-		} else {
-			err = fmt.Errorf("snapstore: fetch %s: stream body: %w", f.url, err)
+			return 0, 0, f.errTooBig()
 		}
-		return fail("error", err)
+		return 0, 0, fmt.Errorf("snapstore: fetch %s: stream body: %w", f.url, err)
 	}
 	gen, cerr := w.finish()
 	if cerr != nil {
+		f.metrics.observeFetch("corrupt")
 		f.log.Warn("fetched snapshot rejected", "url", f.url, "bytes", w.n, "err", cerr)
-		return fail("corrupt", fmt.Errorf("snapstore: fetch %s: %w", f.url, cerr))
+		return 0, 0, fmt.Errorf("snapstore: fetch %s: %w", f.url, cerr)
 	}
-	if err := tmp.Sync(); err != nil {
-		return fail("error", fmt.Errorf("snapstore: fetch %s: fsync: %w", f.url, err))
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmpPath)
-		f.metrics.observeFetch("error")
-		return "", 0, fmt.Errorf("snapstore: fetch %s: close temp: %w", f.url, err)
-	}
+	return gen, w.n, nil
+}
+
+func (f *Fetcher) errTooBig() error {
+	return fmt.Errorf("snapstore: fetch %s: body exceeds %d byte cap", f.url, f.maxBytes)
+}
+
+// delivered records a fetched generation: the next fetch is
+// conditional on it.
+func (f *Fetcher) delivered(gen uint64, n int64) {
 	f.storeETag(genETag(gen))
 	f.metrics.observeFetch("ok")
-	f.metrics.observeBytes(int(w.n))
-	f.log.Info("snapshot fetched to file", "url", f.url, "generation", gen, "bytes", w.n)
-	return tmpPath, gen, nil
+	f.metrics.observeBytes(int(n))
+	f.log.Info("snapshot fetched", "url", f.url, "generation", gen, "bytes", n)
 }

@@ -579,42 +579,6 @@ func ReadGeneration(data []byte) (uint64, error) {
 	return gen, nil
 }
 
-// ReadProvenance extracts the provenance traceparent from an encoded
-// snapshot's meta section without a full decode. Like ReadGeneration it
-// validates the header and whole-file checksum first, so the publisher
-// can read it from bytes it is about to serve.
-func ReadProvenance(data []byte) (string, error) {
-	_, nsect, cerr := header(data)
-	if cerr != nil {
-		return "", cerr
-	}
-	body := len(data) - 4
-	if crc32.Checksum(data[:body], castagnoli) != binary.LittleEndian.Uint32(data[body:]) {
-		return "", corrupt("file", "whole-file CRC mismatch", ErrChecksum)
-	}
-	tableEnd := headerSize + nsect*sectionEntrySize
-	if tableEnd > body {
-		return "", corrupt("header", "section table extends past file", ErrTruncated)
-	}
-	for i := 0; i < nsect; i++ {
-		e := data[headerSize+i*sectionEntrySize:]
-		if binary.LittleEndian.Uint32(e[0:4]) != secMeta {
-			continue
-		}
-		off := binary.LittleEndian.Uint64(e[4:12])
-		ln := binary.LittleEndian.Uint64(e[12:20])
-		if off < uint64(tableEnd) || off > uint64(body) || ln > uint64(body)-off {
-			return "", corrupt("header", "meta section extends past file", ErrTruncated)
-		}
-		meta, cerr := decodeMeta(data[off : off+ln])
-		if cerr != nil {
-			return "", cerr
-		}
-		return meta.provenance, nil
-	}
-	return "", corrupt("meta", "section missing", nil)
-}
-
 // SectionRange locates one section's payload inside an encoded
 // snapshot. This is the fault-injection surface: corruption tests use
 // it to flip bits inside every individual section and assert each one

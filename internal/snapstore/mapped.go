@@ -73,8 +73,11 @@ type Loaded struct {
 	Gen  uint64
 	// Data is the encoded file: the live mapping when Backing is
 	// non-nil (valid only while a reference is held), a heap copy
-	// otherwise. Publishers hand it to Publisher.SetMapped to serve
-	// /snapshot/current without a second copy.
+	// otherwise. A daemon hands it to Publisher.SetMapped for every
+	// generation it opens — a publisher's freshly persisted one, a
+	// replica's fetched one, either's at cold start — so
+	// /snapshot/current serves the same bytes the answers come from,
+	// never a second copy.
 	Data []byte
 	// Backing is the mapping the snapshot serves from, nil when the file
 	// was decoded on the heap (Snap.LoadMode() says which). The snapshot

@@ -176,59 +176,72 @@ func (st *Store) Publish(snap *serve.Snapshot, gen uint64) error {
 	return st.PublishEncoded(Encode(snap, gen))
 }
 
+// Path returns the file generation gen is stored in.
+func (st *Store) Path(gen uint64) string { return filepath.Join(st.dir, genFileName(gen)) }
+
 // PublishEncoded durably publishes an already-encoded snapshot under
-// the generation stamped in its header: validate, write to a temp file,
-// fsync, rename into place, fsync the directory, then repoint MANIFEST
-// the same way and prune old generations. A crash between any two steps
-// leaves the store loadable — at worst the new generation exists
-// without a manifest pointing at it, which recovery's scan finds
-// anyway.
+// the generation stamped in its header: validate, write to a temp file
+// and fsync it, then take AdoptFile's path into place. A crash between
+// any two steps leaves the store loadable — at worst the new generation
+// exists without a manifest pointing at it, which recovery's scan finds
+// anyway. The generation file is Path(gen).
 func (st *Store) PublishEncoded(data []byte) error {
 	gen, err := ReadGeneration(data)
 	if err != nil {
 		st.metrics.observePublish("error")
 		return fmt.Errorf("snapstore: refusing to publish: %w", err)
 	}
-	name := genFileName(gen)
-	if err := st.writeAtomic(name, data); err != nil {
+	tmp, err := st.writeTemp(genFileName(gen), data)
+	if err != nil {
 		st.metrics.observePublish("error")
 		st.log.Error("snapshot publish failed", "generation", gen, "err", err)
 		return err
 	}
-	// The generation file is durable; a manifest failure from here on
-	// degrades recovery to the scan path but must not fail the publish.
-	if err := st.writeAtomic(manifestName, []byte(name+"\n")); err != nil {
-		st.log.Warn("snapshot manifest update failed", "generation", gen, "err", err)
+	if err := st.AdoptFile(tmp, gen); err != nil {
+		return err
 	}
-	st.prune(gen)
-	st.metrics.observePublish("ok")
 	st.metrics.observeBytes(len(data))
-	st.log.Info("snapshot published", "generation", gen, "bytes", len(data), "file", name)
 	return nil
 }
 
-// writeAtomic writes name under the store directory via a unique temp
-// file, fsync, and atomic rename, then fsyncs the directory so the
-// rename itself is durable.
-func (st *Store) writeAtomic(name string, data []byte) error {
+// writeTemp writes data to a fresh temp file under the store directory
+// and fsyncs it, returning its path; on failure nothing is left behind.
+func (st *Store) writeTemp(name string, data []byte) (string, error) {
 	f, err := os.CreateTemp(st.dir, ".tmp-"+name+"-*")
 	if err != nil {
-		return fmt.Errorf("snapstore: create temp for %s: %w", name, err)
+		return "", fmt.Errorf("snapstore: create temp for %s: %w", name, err)
 	}
 	tmp := f.Name()
-	defer os.Remove(tmp) // no-op after a successful rename
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		return fmt.Errorf("snapstore: write %s: %w", name, err)
+	if _, err = f.Write(data); err != nil {
+		err = fmt.Errorf("snapstore: write %s: %w", name, err)
+	} else if err = f.Sync(); err != nil {
+		err = fmt.Errorf("snapstore: fsync %s: %w", name, err)
 	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return fmt.Errorf("snapstore: fsync %s: %w", name, err)
+	if cerr := f.Close(); err == nil && cerr != nil {
+		err = fmt.Errorf("snapstore: close %s: %w", name, cerr)
 	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("snapstore: close %s: %w", name, err)
+	if err != nil {
+		os.Remove(tmp)
+		return "", err
 	}
+	return tmp, nil
+}
+
+// writeAtomic writes name under the store directory via a unique temp
+// file, fsync, and atomic rename.
+func (st *Store) writeAtomic(name string, data []byte) error {
+	tmp, err := st.writeTemp(name, data)
+	if err != nil {
+		return err
+	}
+	return st.rename(tmp, name)
+}
+
+// rename moves tmp into place as name, then fsyncs the directory so the
+// rename itself is durable. A tmp that cannot be renamed is removed.
+func (st *Store) rename(tmp, name string) error {
 	if err := os.Rename(tmp, filepath.Join(st.dir, name)); err != nil {
+		os.Remove(tmp)
 		return fmt.Errorf("snapstore: rename %s: %w", name, err)
 	}
 	return st.syncDir()
@@ -300,7 +313,7 @@ func (st *Store) prune(current uint64) {
 			kept++
 			continue
 		}
-		if err := os.Remove(filepath.Join(st.dir, genFileName(gen))); err != nil {
+		if err := os.Remove(st.Path(gen)); err != nil {
 			st.log.Warn("snapshot prune failed", "generation", gen, "err", err)
 		} else {
 			st.log.Info("snapshot pruned", "generation", gen)
@@ -330,7 +343,7 @@ func (st *Store) LoadCurrentOpen(opts OpenOptions) (*Loaded, error) {
 	}
 	for _, gen := range gens {
 		name := genFileName(gen)
-		ld, err := OpenFile(filepath.Join(st.dir, name), opts)
+		ld, err := OpenFile(st.Path(gen), opts)
 		if err != nil {
 			if errors.Is(err, ErrCorrupt) {
 				st.metrics.observeLoad("corrupt")
@@ -350,29 +363,30 @@ func (st *Store) LoadCurrentOpen(opts OpenOptions) (*Loaded, error) {
 	return nil, fmt.Errorf("%w in %s (%d candidates)", ErrNoSnapshot, st.dir, len(gens))
 }
 
-// AdoptFile durably adopts an already-written snapshot file — a
-// replica fetch streamed to disk — as generation gen: rename into
-// place, fsync the directory, repoint MANIFEST, prune. The rename
-// requires tmpPath to be on the store's filesystem (FetchToFile writes
-// its temp inside the store directory for exactly this reason), and
-// the caller must have fsynced the file and verified its checksums.
-// Returns the adopted generation file's path.
-func (st *Store) AdoptFile(tmpPath string, gen uint64) (string, error) {
+// AdoptFile durably adopts an already-written snapshot file as
+// generation gen: rename into place, fsync the directory, repoint
+// MANIFEST, prune. It is the tail of every publish — PublishEncoded
+// after writing the encoded bytes, a replica after FetchToFile streamed
+// a body to disk. The rename requires tmpPath to be on the store's
+// filesystem (FetchToFile writes its temp inside the store directory
+// for exactly this reason), and the caller must have fsynced the file
+// and verified its checksums. On failure tmpPath is gone or already in
+// place; either way the caller has nothing to clean up. The adopted
+// file is Path(gen).
+func (st *Store) AdoptFile(tmpPath string, gen uint64) error {
 	name := genFileName(gen)
-	dst := filepath.Join(st.dir, name)
-	if err := os.Rename(tmpPath, dst); err != nil {
+	if err := st.rename(tmpPath, name); err != nil {
 		st.metrics.observePublish("error")
-		return "", fmt.Errorf("snapstore: adopt %s: %w", tmpPath, err)
+		st.log.Error("snapshot publish failed", "generation", gen, "err", err)
+		return err
 	}
-	if err := st.syncDir(); err != nil {
-		st.metrics.observePublish("error")
-		return "", err
-	}
+	// The generation file is durable; a manifest failure from here on
+	// degrades recovery to the scan path but must not fail the publish.
 	if err := st.writeAtomic(manifestName, []byte(name+"\n")); err != nil {
 		st.log.Warn("snapshot manifest update failed", "generation", gen, "err", err)
 	}
 	st.prune(gen)
 	st.metrics.observePublish("ok")
-	st.log.Info("snapshot adopted", "generation", gen, "file", name)
-	return dst, nil
+	st.log.Info("snapshot published", "generation", gen, "file", name)
+	return nil
 }

@@ -61,9 +61,10 @@ go test -race -run 'TestDeltaEquivalence|TestDeltaZeroChurnAliases|TestDeltaRelo
 
 # ./internal/serve carries the lookup renderer's differential fuzzers:
 # the JSON string escaper against json.Marshal and the query scan
-# against url.ParseQuery.
+# against url.ParseQuery. ./internal/snapstore fuzzes the snapshot open
+# path every daemon serves through (Decode and OpenFile).
 echo "== fuzz seed corpora (go test -run Fuzz)"
-go test -run 'Fuzz' ./internal/mrt ./internal/arinwhois ./internal/lacnicwhois ./internal/telemetry ./internal/serve
+go test -run 'Fuzz' ./internal/mrt ./internal/arinwhois ./internal/lacnicwhois ./internal/telemetry ./internal/serve ./internal/snapstore
 
 # The tracing plane is race-gated even in -quick mode: span trees are
 # built across request goroutines, the collector rings are shared with
@@ -254,7 +255,7 @@ echo "== serving-path lookup benchmarks (flat LPM index)"
 # The per-address benches run nanoseconds per op; a fixed 2M iterations
 # keeps the measurement window well clear of timer noise. The batch
 # bench is 3 orders of magnitude heavier, so it gets its own count.
-addr_out=$(go test -run '^$' -bench 'BenchmarkLookupAddr$|BenchmarkLookupAddrMapWalk$' -benchmem -benchtime 2000000x -count 5 ./internal/serve)
+addr_out=$(go test -run '^$' -bench 'BenchmarkLookupAddr$' -benchmem -benchtime 2000000x -count 5 ./internal/serve)
 echo "$addr_out"
 batch_out=$(go test -run '^$' -bench 'BenchmarkLookupBatch$' -benchmem -benchtime 5000x -count 5 ./internal/serve)
 echo "$batch_out"
@@ -284,7 +285,7 @@ awk -v a="$handler_allocs" 'BEGIN { exit !(a + 0 <= 8) }' || {
 }
 
 echo "== serve bench regression gate (vs committed BENCH_serve.json)"
-for b in BenchmarkLookupAddr BenchmarkLookupAddrMapWalk BenchmarkLookupBatch BenchmarkHandlerLookup BenchmarkHandlerLookupBatch; do
+for b in BenchmarkLookupAddr BenchmarkLookupBatch BenchmarkHandlerLookup BenchmarkHandlerLookupBatch; do
 	bench_gate BENCH_serve.json "$b" "$(bench_val "$serve_out" "$b" ns/op)" "$(bench_val "$serve_out" "$b" allocs/op)"
 done
 
