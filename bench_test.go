@@ -331,7 +331,7 @@ func BenchmarkFullReload(b *testing.B) {
 // today: the serving-scoped load of the successor epoch (only the
 // sources the inference reads), a full inference, and a serving
 // snapshot built with the load's reports, exactly as the daemon's
-// snapshot builder does it. check.sh gates it at <= 0.8x
+// snapshot builder does it. cmd/benchgate gates it at <= 0.8x
 // BenchmarkFullReload, whose load parses every source.
 func BenchmarkServingReload(b *testing.B) {
 	benchDeltaSetup(b)
@@ -481,7 +481,7 @@ func BenchmarkSnapshotDecode(b *testing.B) {
 // parse+infer+index: open the store, scan it, and open the newest
 // generation for serving through LoadCurrentOpen, the daemon's own
 // recovery scan (mapped, every checksum and structural invariant
-// verified). The check.sh absolute gate holds this to at least 5x
+// verified). A cmd/benchgate absolute gate holds this to at least 5x
 // faster than the full reload it replaces.
 func BenchmarkSnapshotColdStart(b *testing.B) {
 	benchSnapshotSetup(b)
@@ -505,7 +505,7 @@ func BenchmarkSnapshotColdStart(b *testing.B) {
 // BenchmarkSnapshotMmapColdStart measures the zero-copy restart path:
 // map the newest generation, verify every section checksum, and wrap
 // the mapped bytes as serving views — no per-record decode, strings and
-// index arrays alias the page cache. check.sh gates this at 5x the
+// index arrays alias the page cache. cmd/benchgate gates this at 5x the
 // ns/op and 50x the allocs/op of the pre-v3 heap cold start.
 func BenchmarkSnapshotMmapColdStart(b *testing.B) {
 	benchSnapshotSetup(b)

@@ -96,8 +96,10 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"time"
 
@@ -106,27 +108,37 @@ import (
 )
 
 func main() {
-	var cfg daemon.Config
-	flag.StringVar(&cfg.Data, "data", "dataset", "dataset directory")
-	flag.StringVar(&cfg.Addr, "addr", "127.0.0.1:8402", "listen address")
-	flag.BoolVar(&cfg.Strict, "strict", false, "strict ingestion: any malformed record fails a (re)load")
-	flag.DurationVar(&cfg.Reload, "reload", 0, "timer-driven reload period (0 disables; SIGHUP always reloads)")
-	flag.DurationVar(&cfg.Drain, "drain", 10*time.Second, "graceful-shutdown drain budget")
-	flag.IntVar(&cfg.MaxInFlight, "max-inflight", serve.DefaultMaxInFlight, "concurrent requests before shedding with 429")
-	flag.DurationVar(&cfg.Timeout, "timeout", serve.DefaultRequestTimeout, "per-request handling budget")
-	flag.StringVar(&cfg.LogFormat, "log-format", "text", "log record format: text (key=value) or json")
-	flag.StringVar(&cfg.LogLevel, "log-level", "info", "minimum log level: debug, info, warn, error")
-	flag.BoolVar(&cfg.Pprof, "pprof", false, "expose the Go profiler on /debug/pprof/*")
-	flag.StringVar(&cfg.SnapshotDir, "snapshot-dir", "", "persist every serving snapshot to this directory and cold-start from the newest valid generation")
-	flag.IntVar(&cfg.SnapshotKeep, "snapshot-keep", 4, "snapshot generations retained in -snapshot-dir (negative keeps all)")
-	flag.StringVar(&cfg.SnapshotURL, "snapshot-url", "", "replica mode: serve snapshots fetched from this publisher endpoint (e.g. http://host:8402/snapshot/current) instead of loading -data")
-	flag.DurationVar(&cfg.Poll, "poll", 15*time.Second, "replica poll period for new publisher generations")
-	flag.Float64Var(&cfg.TraceSample, "trace-sample", 0, "request-trace head-sampling rate in [0,1] (0 means the default 1%; negative disables tracing)")
-	flag.IntVar(&cfg.TraceBuffer, "trace-buffer", 0, "finished traces retained per collector ring (0 means the default 256)")
-	flag.Int64Var(&cfg.TraceSeed, "trace-seed", 0, "seed for trace IDs and the head sampler (0 draws from the clock)")
-	flag.Parse()
-	if err := daemon.Run(context.Background(), cfg, os.Stderr, nil); err != nil {
+	if err := run(context.Background(), os.Args[1:], os.Stderr, nil); err != nil && !errors.Is(err, flag.ErrHelp) {
 		fmt.Fprintln(os.Stderr, "leased:", err)
 		os.Exit(1)
 	}
+}
+
+// run parses args and runs the daemon until ctx ends or a signal stops
+// it, logging to stderr; ready, when non-nil, gets the bound address.
+func run(ctx context.Context, args []string, stderr io.Writer, ready func(addr string)) error {
+	var cfg daemon.Config
+	fs := flag.NewFlagSet("leased", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	fs.StringVar(&cfg.Data, "data", "dataset", "dataset directory")
+	fs.StringVar(&cfg.Addr, "addr", "127.0.0.1:8402", "listen address")
+	fs.BoolVar(&cfg.Strict, "strict", false, "strict ingestion: any malformed record fails a (re)load")
+	fs.DurationVar(&cfg.Reload, "reload", 0, "timer-driven reload period (0 disables; SIGHUP always reloads)")
+	fs.DurationVar(&cfg.Drain, "drain", 10*time.Second, "graceful-shutdown drain budget")
+	fs.IntVar(&cfg.MaxInFlight, "max-inflight", serve.DefaultMaxInFlight, "concurrent requests before shedding with 429")
+	fs.DurationVar(&cfg.Timeout, "timeout", serve.DefaultRequestTimeout, "per-request handling budget")
+	fs.StringVar(&cfg.LogFormat, "log-format", "text", "log record format: text (key=value) or json")
+	fs.StringVar(&cfg.LogLevel, "log-level", "info", "minimum log level: debug, info, warn, error")
+	fs.BoolVar(&cfg.Pprof, "pprof", false, "expose the Go profiler on /debug/pprof/*")
+	fs.StringVar(&cfg.SnapshotDir, "snapshot-dir", "", "persist every serving snapshot to this directory and cold-start from the newest valid generation")
+	fs.IntVar(&cfg.SnapshotKeep, "snapshot-keep", 4, "snapshot generations retained in -snapshot-dir (negative keeps all)")
+	fs.StringVar(&cfg.SnapshotURL, "snapshot-url", "", "replica mode: serve snapshots fetched from this publisher endpoint (e.g. http://host:8402/snapshot/current) instead of loading -data")
+	fs.DurationVar(&cfg.Poll, "poll", 15*time.Second, "replica poll period for new publisher generations")
+	fs.Float64Var(&cfg.TraceSample, "trace-sample", 0, "request-trace head-sampling rate in [0,1] (0 means the default 1%; negative disables tracing)")
+	fs.IntVar(&cfg.TraceBuffer, "trace-buffer", 0, "finished traces retained per collector ring (0 means the default 256)")
+	fs.Int64Var(&cfg.TraceSeed, "trace-seed", 0, "seed for trace IDs and the head sampler (0 draws from the clock)")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	return daemon.Run(ctx, cfg, stderr, ready)
 }

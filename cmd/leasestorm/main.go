@@ -37,6 +37,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -44,68 +45,80 @@ import (
 	"time"
 )
 
-func main() {
-	var (
-		cfg       StormConfig
-		out       = flag.String("o", "", "write the JSON run report here instead of stdout")
-		fleetLogs = flag.Bool("fleet-logs", false, "pass fleet daemon logs through to stderr")
-	)
-	flag.StringVar(&cfg.Data, "data", "", "dataset directory (empty: generate a synthetic one)")
-	flag.StringVar(&cfg.WorkDir, "workdir", "", "scratch directory (empty: temp dir, removed afterwards)")
-	flag.IntVar(&cfg.Replicas, "replicas", 2, "replica count")
-	flag.Int64Var(&cfg.Seed, "seed", 1, "chaos schedule + workload seed")
-	flag.DurationVar(&cfg.Duration, "duration", 8*time.Second, "storm length")
-	flag.Float64Var(&cfg.QPS, "qps", 100, "aggregate workload rate")
-	flag.IntVar(&cfg.Concurrency, "concurrency", 4, "workload workers")
-	flag.DurationVar(&cfg.Reload, "reload", 500*time.Millisecond, "publisher reload period (generation advance rate)")
-	flag.DurationVar(&cfg.Poll, "poll", 250*time.Millisecond, "replica poll period")
-	flag.Float64Var(&cfg.ErrorBudget, "error-budget", 0.01, "client error rate allowed outside fault windows")
-	var maxLag uint64
-	flag.Uint64Var(&maxLag, "max-lag", 0, "generation-lag bound while healthy (0: derived from poll/reload)")
-	flag.DurationVar(&cfg.HealSLO, "heal-slo", 0, "post-heal reconvergence deadline (0: duration/4)")
-	flag.StringVar(&cfg.Sabotage, "sabotage", "", "boot a deliberately broken fleet; the run must FAIL (modes: stale-replica)")
-	flag.Parse()
-	cfg.MaxLag = maxLag
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run parses args, runs one storm, writes its report to stdout (or -o)
+// and a summary to stderr, and returns the exit status.
+func run(args []string, stdout, stderr io.Writer) int {
+	var cfg StormConfig
+	fs := flag.NewFlagSet("leasestorm", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	out := fs.String("o", "", "write the JSON run report here instead of stdout")
+	fleetLogs := fs.Bool("fleet-logs", false, "pass fleet daemon logs through to stderr")
+	fs.StringVar(&cfg.Data, "data", "", "dataset directory (empty: generate a synthetic one)")
+	fs.StringVar(&cfg.WorkDir, "workdir", "", "scratch directory (empty: temp dir, removed afterwards)")
+	fs.IntVar(&cfg.Replicas, "replicas", 2, "replica count")
+	fs.Int64Var(&cfg.Seed, "seed", 1, "chaos schedule + workload seed")
+	fs.DurationVar(&cfg.Duration, "duration", 8*time.Second, "storm length")
+	fs.Float64Var(&cfg.QPS, "qps", 100, "aggregate workload rate")
+	fs.IntVar(&cfg.Concurrency, "concurrency", 4, "workload workers")
+	fs.DurationVar(&cfg.Reload, "reload", 500*time.Millisecond, "publisher reload period (generation advance rate)")
+	fs.DurationVar(&cfg.Poll, "poll", 250*time.Millisecond, "replica poll period")
+	fs.Float64Var(&cfg.ErrorBudget, "error-budget", 0.01, "client error rate allowed outside fault windows")
+	fs.Uint64Var(&cfg.MaxLag, "max-lag", 0, "generation-lag bound while healthy (0: derived from poll/reload)")
+	fs.DurationVar(&cfg.HealSLO, "heal-slo", 0, "post-heal reconvergence deadline (0: duration/4)")
+	fs.StringVar(&cfg.Sabotage, "sabotage", "", "boot a deliberately broken fleet; the run must FAIL (modes: stale-replica)")
+	if err := fs.Parse(args); errors.Is(err, flag.ErrHelp) {
+		return 0
+	} else if err != nil {
+		return 2
+	}
 	if *fleetLogs {
-		cfg.LogW = os.Stderr
+		cfg.LogW = stderr
 	}
 
 	if cfg.Sabotage != "" && cfg.Sabotage != SabotageStaleReplica {
-		fmt.Fprintf(os.Stderr, "leasestorm: unknown sabotage mode %q\n", cfg.Sabotage)
-		os.Exit(2)
+		fmt.Fprintf(stderr, "leasestorm: unknown sabotage mode %q\n", cfg.Sabotage)
+		return 2
 	}
 
 	rep, err := RunStorm(context.Background(), cfg)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "leasestorm:", err)
-		os.Exit(2)
+		fmt.Fprintln(stderr, "leasestorm:", err)
+		return 2
 	}
 
-	var w io.Writer = os.Stdout
+	w := stdout
+	var fh *os.File
 	if *out != "" {
-		fh, err := os.Create(*out)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "leasestorm:", err)
-			os.Exit(2)
+		if fh, err = os.Create(*out); err != nil {
+			fmt.Fprintln(stderr, "leasestorm:", err)
+			return 2
 		}
-		defer fh.Close()
 		w = fh
 	}
-	if err := rep.Write(w); err != nil {
-		fmt.Fprintln(os.Stderr, "leasestorm:", err)
-		os.Exit(2)
+	err = rep.Write(w)
+	if fh != nil {
+		if cerr := fh.Close(); err == nil {
+			err = cerr
+		}
+	}
+	if err != nil {
+		fmt.Fprintln(stderr, "leasestorm:", err)
+		return 2
 	}
 
-	fmt.Fprintf(os.Stderr,
+	fmt.Fprintf(stderr,
 		"leasestorm: seed=%d schedule=%s faults=%d requests=%d errors=%d samples=%d identity_checks=%d violations=%d pass=%v\n",
 		rep.Seed, rep.ScheduleFingerprint, len(rep.Schedule.Faults),
 		rep.Load.Requests, rep.Load.Errors, rep.Samples, rep.IdentityChecks,
 		len(rep.Violations), rep.Pass)
 	for _, v := range rep.Violations {
-		fmt.Fprintf(os.Stderr, "leasestorm: VIOLATION [%s] at=%v replica=%s: %s\n",
+		fmt.Fprintf(stderr, "leasestorm: VIOLATION [%s] at=%v replica=%s: %s\n",
 			v.Invariant, v.At, v.Replica, v.Detail)
 	}
 	if !rep.Pass {
-		os.Exit(1)
+		return 1
 	}
+	return 0
 }

@@ -10,8 +10,8 @@ import (
 
 // RunReport is the machine-readable outcome of one storm: the seed and
 // schedule that reproduce it, what the proxy actually did, what the
-// load generator measured, and the invariant verdicts. check.sh and the
-// determinism tests consume it; humans get the same JSON.
+// load generator measured, and the invariant verdicts. The storm tests
+// decode it from -o; humans get the same JSON.
 type RunReport struct {
 	Seed     int64  `json:"seed"`
 	Replicas int    `json:"replicas"`

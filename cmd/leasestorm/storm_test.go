@@ -2,9 +2,11 @@ package main
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
+	"os"
 	"path/filepath"
 	"strconv"
 	"strings"
@@ -30,24 +32,22 @@ func testDataset(t *testing.T) string {
 // differ; the externally observable outcome must not.
 func TestStormDeterministicVerdicts(t *testing.T) {
 	data := testDataset(t)
-	run := func(tag string) *RunReport {
-		rep, err := RunStorm(context.Background(), StormConfig{
-			Data:     data,
-			WorkDir:  filepath.Join(t.TempDir(), tag),
-			Replicas: 2,
-			Seed:     3,
-			Duration: 5 * time.Second,
-			QPS:      60,
-			Reload:   400 * time.Millisecond,
-			Poll:     200 * time.Millisecond,
-		})
-		if err != nil {
-			t.Fatalf("storm %s: %v", tag, err)
-		}
-		return rep
+	// Run a goes through the command line, run b through RunStorm.
+	a := runCommand(t, 0, "-data", data, "-replicas", "2", "-seed", "3", "-duration", "5s",
+		"-qps", "60", "-reload", "400ms", "-poll", "200ms")
+	b, err := RunStorm(context.Background(), StormConfig{
+		Data:     data,
+		WorkDir:  t.TempDir(),
+		Replicas: 2,
+		Seed:     3,
+		Duration: 5 * time.Second,
+		QPS:      60,
+		Reload:   400 * time.Millisecond,
+		Poll:     200 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatalf("storm b: %v", err)
 	}
-	a := run("a")
-	b := run("b")
 
 	if a.ScheduleFingerprint != b.ScheduleFingerprint {
 		t.Errorf("same seed, different schedules: %s vs %s",
@@ -95,20 +95,8 @@ func TestStormDeterministicVerdicts(t *testing.T) {
 // its boot generation) MUST fail the invariants — a checker that cannot
 // fail proves nothing.
 func TestStormSabotageDetected(t *testing.T) {
-	rep, err := RunStorm(context.Background(), StormConfig{
-		Data:     testDataset(t),
-		WorkDir:  t.TempDir(),
-		Replicas: 2,
-		Seed:     3,
-		Duration: 5 * time.Second,
-		QPS:      60,
-		Reload:   400 * time.Millisecond,
-		Poll:     200 * time.Millisecond,
-		Sabotage: SabotageStaleReplica,
-	})
-	if err != nil {
-		t.Fatalf("storm: %v", err)
-	}
+	rep := runCommand(t, 1, "-data", testDataset(t), "-replicas", "2", "-seed", "3", "-duration", "5s",
+		"-qps", "60", "-reload", "400ms", "-poll", "200ms", "-sabotage", "stale-replica")
 	if rep.Pass {
 		t.Fatal("sabotaged fleet passed the invariant checker")
 	}
@@ -120,6 +108,26 @@ func TestStormSabotageDetected(t *testing.T) {
 	if !strings.Contains(joined, InvLag) && !strings.Contains(joined, InvReconvergence) {
 		t.Errorf("sabotage caught by %v, want lag and/or reconvergence", kinds)
 	}
+}
+
+// runCommand runs leasestorm with args plus -o, requires exit status
+// want, and returns the report decoded from the -o file.
+func runCommand(t *testing.T, want int, args ...string) *RunReport {
+	t.Helper()
+	out := filepath.Join(t.TempDir(), "report.json")
+	var stderr strings.Builder
+	if code := run(append(args, "-o", out), io.Discard, &stderr); code != want {
+		t.Fatalf("leasestorm %v: exit %d, want %d\n%s", args, code, want, stderr.String())
+	}
+	data, err := os.ReadFile(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rep RunReport
+	if err := json.Unmarshal(data, &rep); err != nil {
+		t.Fatalf("report %s: %v", out, err)
+	}
+	return &rep
 }
 
 // metricValue scrapes one exposition line (exact needle prefix) off a

@@ -127,11 +127,7 @@ func (d *snapshots) replica() bool { return d != nil && d.fetcher != nil }
 // never a second copy), and it becomes the serving generation. On
 // failure the snapshot is released and nothing changes.
 func (d *snapshots) serveOpened(ld *snapstore.Loaded) (*serve.Snapshot, error) {
-	var backing serve.Backing // a nil *Mapped must not become a typed-nil interface
-	if ld.Backing != nil {
-		backing = ld.Backing
-	}
-	if err := d.pub.SetMapped(ld.Data, backing); err != nil {
+	if err := d.pub.Publish(ld); err != nil {
 		ld.Snap.Release()
 		return nil, err
 	}

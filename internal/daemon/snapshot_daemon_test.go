@@ -13,12 +13,14 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strconv"
 	"strings"
 	"syscall"
 	"testing"
 	"time"
 
 	"ipleasing/internal/serve"
+	"ipleasing/internal/snapstore"
 )
 
 // startDaemonCtx is startDaemon under a caller-owned context, so a test
@@ -61,6 +63,29 @@ func stopDaemon(t *testing.T, cancel context.CancelFunc, errc chan error) {
 	case <-time.After(30 * time.Second):
 		t.Fatal("daemon did not exit on context cancel")
 	}
+}
+
+// originASN returns an ASN that originates a classified leaf in the
+// newest generation stored in dir.
+func originASN(t *testing.T, dir string) string {
+	t.Helper()
+	gens, err := filepath.Glob(filepath.Join(dir, "gen-*.snap"))
+	if err != nil || len(gens) == 0 {
+		t.Fatalf("no generation file in %s (%v)", dir, err)
+	}
+	sort.Strings(gens)
+	ld, err := snapstore.OpenFile(gens[len(gens)-1], snapstore.OpenOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ld.Snap.Release()
+	for _, inf := range ld.Snap.FlatInferences() {
+		if len(inf.LeafOrigins) > 0 {
+			return strconv.FormatUint(uint64(inf.LeafOrigins[0]), 10)
+		}
+	}
+	t.Fatal("no classified leaf has an origin ASN")
+	return ""
 }
 
 // snapshotCurrentGen reads the generation header off /snapshot/current.
@@ -227,8 +252,15 @@ func TestReplicaServesAndSurvivesPublisherOutage(t *testing.T) {
 		}
 	}
 
-	// Byte-identical service across every query surface.
-	for _, p := range []string{"/table1", "/loadreport", "/lookup?ip=203.0.113.99", "/lookup?prefix=10.0.0.0/24"} {
+	// Byte-identical service across every query surface, a miss
+	// included: synthetic ASNs start at 100000, so AS64500 is absent.
+	present := "/lookup?asn=" + originASN(t, pubSnaps)
+	for p, want := range map[string]string{present: `"found": true`, "/lookup?asn=64500": `"found": false`} {
+		if _, body := getBody(t, pubBase+p); !strings.Contains(body, want) {
+			t.Errorf("publisher %s lacks %s:\n%s", p, want, body)
+		}
+	}
+	for _, p := range []string{"/table1", "/loadreport", "/lookup?ip=203.0.113.99", "/lookup?prefix=10.0.0.0/24", present, "/lookup?asn=64500"} {
 		_, want := getBody(t, pubBase+p)
 		for _, base := range []string{repBase, storeBase} {
 			if _, got := getBody(t, base+p); got != want {

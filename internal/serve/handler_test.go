@@ -101,7 +101,7 @@ func (w *discardWriter) reset() {
 // BenchmarkHandlerLookup is the handler rung of the request ladder: one
 // /lookup?ip= request through the whole routed handler (middleware,
 // deadline, query scan, lookup, render) with no network. Its allocs/op
-// is gated absolutely in scripts/check.sh.
+// is gated absolutely in cmd/benchgate.
 func BenchmarkHandlerLookup(b *testing.B) {
 	s, snap := benchServer(b)
 	addrs := addrsForBench(snap, 1024)
@@ -321,7 +321,7 @@ func TestRoutedHandlerReachesConnection(t *testing.T) {
 }
 
 // TestHandlerLookupAllocs pins the handler rung's allocation budget in
-// the tier-1 suite, beside the check.sh gate on BenchmarkHandlerLookup.
+// the tier-1 suite, beside the cmd/benchgate gate on BenchmarkHandlerLookup.
 func TestHandlerLookupAllocs(t *testing.T) {
 	s, snap := benchServer(t)
 	h := s.Handler()

@@ -11,7 +11,7 @@ import (
 )
 
 // TestMetricsEndpoint scrapes /metrics after real traffic and checks the
-// exposition is conformant and carries every family check.sh requires.
+// exposition is conformant and carries the serving layer's families.
 func TestMetricsEndpoint(t *testing.T) {
 	s := newTestServer(t, Config{})
 	ts := httptest.NewServer(s.Handler())

@@ -216,7 +216,7 @@ func addrsForBench(s *Snapshot, n int) []netutil.Addr {
 
 // BenchmarkLookupAddr is the serving hot path: one address classified
 // against a realistic-size snapshot. Must report 0 allocs/op — the gate
-// in scripts/check.sh enforces it.
+// in cmd/benchgate enforces it.
 func BenchmarkLookupAddr(b *testing.B) {
 	rng := rand.New(rand.NewSource(2))
 	s := randomLeafSnapshot(rng, 8192)

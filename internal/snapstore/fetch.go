@@ -16,7 +16,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"ipleasing/internal/serve"
 	"ipleasing/internal/telemetry"
 )
 
@@ -114,46 +113,37 @@ type publication struct {
 	// file). The publication holds one reference; every in-flight
 	// download holds another, so replacing the publication never unmaps
 	// bytes a response is still streaming.
-	backing serve.Backing
+	backing *Mapped
 }
 
 // Publisher serves the most recently published encoded snapshot over
 // HTTP for replica daemons: GET returns the bytes, HEAD just the
 // generation headers, and If-None-Match answers 304 so an up-to-date
-// replica costs one header exchange. Set and ServeHTTP are safe under
-// arbitrary concurrency — the current publication swaps atomically.
+// replica costs one header exchange. Publish and ServeHTTP are safe
+// under arbitrary concurrency — the current publication swaps
+// atomically.
 type Publisher struct {
 	cur atomic.Pointer[publication]
 }
 
 // NewPublisher returns a publisher with nothing published; requests
-// answer 503 until the first Set.
+// answer 503 until the first Publish.
 func NewPublisher() *Publisher { return &Publisher{} }
 
-// Set publishes an encoded snapshot, validating it first — a publisher
-// must never hand replicas bytes it could not load itself.
-func (p *Publisher) Set(data []byte) error { return p.SetMapped(data, nil) }
-
-// SetMapped publishes an encoded snapshot whose bytes alias a
-// refcounted backing — the Loaded.Data of a generation a daemon just
-// opened from its store, so /snapshot/current serves straight from the
-// mapping the answers come from instead of holding a second heap copy.
-// The publisher takes its own reference (the caller must still hold
-// one) and drops it when the publication is replaced. A nil backing is
-// plain Set.
-func (p *Publisher) SetMapped(data []byte, backing serve.Backing) error {
-	gen, payloads, cerr := parseFile(data)
-	if cerr != nil {
-		return cerr
-	}
-	meta, cerr := decodeMeta(payloads[secMeta])
-	if cerr != nil {
-		return cerr
-	}
-	if backing != nil && !backing.Acquire() {
+// Publish makes an opened generation the current publication:
+// ld.Data under generation ld.Gen and the provenance of ld.Snap.
+// OpenFile and Decode validated every checksum of those bytes on the
+// way to ld, so a publisher never hands replicas bytes it could not
+// load itself, and nothing is parsed again here. When ld is mapped,
+// /snapshot/current serves straight from the mapping the answers come
+// from instead of holding a second heap copy: the publisher takes its
+// own reference on ld.Backing (the caller must still hold one) and
+// drops it when the publication is replaced.
+func (p *Publisher) Publish(ld *Loaded) error {
+	if ld.Backing != nil && !ld.Backing.Acquire() {
 		return errors.New("snapstore: publish backing already released")
 	}
-	old := p.cur.Swap(&publication{gen: gen, etag: genETag(gen), prov: meta.provenance, data: data, backing: backing})
+	old := p.cur.Swap(&publication{gen: ld.Gen, etag: genETag(ld.Gen), prov: ld.Snap.Provenance, data: ld.Data, backing: ld.Backing})
 	if old != nil && old.backing != nil {
 		old.backing.Release()
 	}

@@ -25,18 +25,25 @@ func TestPublisherServesCurrentSnapshot(t *testing.T) {
 		t.Fatalf("unpublished GET status = %d, want 503", resp.StatusCode)
 	}
 	if _, ok := pub.Generation(); ok {
-		t.Fatal("Generation reported before any Set")
+		t.Fatal("Generation reported before any Publish")
 	}
 
-	if err := pub.Set([]byte("garbage")); err == nil {
-		t.Fatal("publisher accepted garbage bytes")
-	}
+	const prov = "00-0af7651916cd43dd8448eb211c80319c-b7ad6b7169203331-01"
+	snap.Provenance = prov
 	data := Encode(snap, 12)
-	if err := pub.Set(data); err != nil {
+	if err := pub.Publish(decoded(t, data)); err != nil {
 		t.Fatal(err)
 	}
 	if gen, ok := pub.Generation(); !ok || gen != 12 {
 		t.Fatalf("Generation = %d, %v; want 12, true", gen, ok)
+	}
+	resp, err = http.Head(srv.URL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if got := resp.Header.Get(provenanceHeader); got != prov {
+		t.Errorf("provenance header %q, want the published generation's %q", got, prov)
 	}
 
 	f := NewFetcher(srv.URL, FetcherOptions{})
@@ -59,7 +66,7 @@ func TestPublisherServesCurrentSnapshot(t *testing.T) {
 	}
 
 	// New generation flows through.
-	if err := pub.Set(Encode(snap, 13)); err != nil {
+	if err := pub.Publish(decoded(t, Encode(snap, 13))); err != nil {
 		t.Fatal(err)
 	}
 	if _, gen, err := f.Fetch(ctx); err != nil || gen != 13 {
@@ -71,6 +78,17 @@ func TestPublisherServesCurrentSnapshot(t *testing.T) {
 	if body, gen, err := f.Fetch(ctx); err != nil || gen != 13 || len(body) == 0 {
 		t.Fatalf("forced fetch = %d bytes, gen %d, %v", len(body), gen, err)
 	}
+}
+
+// decoded opens an encoded generation on the heap, as a store-less
+// replica does before publishing what it fetched.
+func decoded(t *testing.T, data []byte) *Loaded {
+	t.Helper()
+	snap, gen, err := Decode(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &Loaded{Snap: snap, Gen: gen, Data: data}
 }
 
 func TestFetcherRejectsCorruptBody(t *testing.T) {

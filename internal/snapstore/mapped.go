@@ -73,7 +73,7 @@ type Loaded struct {
 	Gen  uint64
 	// Data is the encoded file: the live mapping when Backing is
 	// non-nil (valid only while a reference is held), a heap copy
-	// otherwise. A daemon hands it to Publisher.SetMapped for every
+	// otherwise. A daemon hands the Loaded to Publisher.Publish for every
 	// generation it opens — a publisher's freshly persisted one, a
 	// replica's fetched one, either's at cold start — so
 	// /snapshot/current serves the same bytes the answers come from,

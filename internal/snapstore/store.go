@@ -185,6 +185,11 @@ func (st *Store) Path(gen uint64) string { return filepath.Join(st.dir, genFileN
 // any two steps leaves the store loadable — at worst the new generation
 // exists without a manifest pointing at it, which recovery's scan finds
 // anyway. The generation file is Path(gen).
+//
+// The validation is a whole-file CRC pass over bytes that Encode may
+// have produced a moment before, and it stays: the store must never
+// hold a generation its own process could not open, whatever handed
+// it the bytes.
 func (st *Store) PublishEncoded(data []byte) error {
 	gen, err := ReadGeneration(data)
 	if err != nil {

@@ -7,10 +7,10 @@ import (
 )
 
 // The registry hot path is the instrumentation budget for every
-// per-record parse loop and every served request: scripts/check.sh runs
-// these and records BENCH_telemetry.json so later PRs can see when
-// instrumentation cost creeps. The acceptance bar is <= 50 ns/op for a
-// counter increment.
+// per-record parse loop and every served request: cmd/benchgate runs
+// these against BENCH_telemetry.json so a creep in instrumentation cost
+// fails the gate. The acceptance bar is <= 50 ns/op for a counter
+// increment.
 
 func BenchmarkCounterInc(b *testing.B) {
 	r := NewRegistry()
@@ -45,7 +45,7 @@ func BenchmarkTraceDecisionUnsampled(b *testing.B) {
 	// The full per-request cost an UNSAMPLED request pays for the trace
 	// plane: a header lookup (absent), the traceparent parse fast path,
 	// and one head-sampler draw at a rate that keeps ~nothing. This is
-	// the overhead budget gated by scripts/check.sh — the nil-span
+	// the overhead budget gated by cmd/benchgate — the nil-span
 	// no-op convention means everything past this point is free.
 	hdr := make(http.Header)
 	hdr.Set("User-Agent", "bench")

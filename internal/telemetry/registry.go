@@ -9,8 +9,8 @@
 // instruments are lock-free: a Counter increment is a single atomic add,
 // and a Histogram observation is a binary search plus two atomic adds,
 // so instrumenting the paper's per-record parse loops costs nanoseconds,
-// not milliseconds (the BENCH_telemetry.json gate in scripts/check.sh
-// keeps it that way).
+// not milliseconds (cmd/benchgate's BENCH_telemetry.json gate keeps it
+// that way).
 package telemetry
 
 import (

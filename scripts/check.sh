@@ -1,7 +1,10 @@
 #!/bin/sh
-# Full verification gate: vet, build, race-enabled tests, then a benchmark
-# smoke run whose results land in BENCH_core.json at the repo root.
-# Usage: scripts/check.sh [-quick]   (-quick skips the race tests)
+# Full verification gate: vet, build, the test suite under the race
+# detector, then the benchmark gate (cmd/benchgate), which checks every
+# committed BENCH_*.json baseline and absolute bound.
+# Usage: scripts/check.sh [-quick]
+#   -quick runs the suite without the race detector, then only the
+#   race-gated packages below with it.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -27,555 +30,24 @@ if [ "$quick" = "0" ]; then
 else
 	echo "== go test ./..."
 	go test ./...
+	# Race-gated even in -quick mode, because what they prove is
+	# cross-goroutine correctness: snapshot swaps, the reload breaker and
+	# request limiter (serve), the worker pool (par), the load-diagnostics
+	# collector (diag), the metrics registry and tracing plane
+	# (telemetry), mapping lifetimes and the SIGKILL matrix (snapstore),
+	# the fault proxy and load generator (chaos, loadgen), the live fleet
+	# storms (leasestorm), and the delta path's shared segment slices and
+	# the snapshot fault matrix (the root package).
+	echo "== go test -race (race-gated packages)"
+	go test -race . ./internal/serve ./internal/par ./internal/diag ./internal/telemetry \
+		./internal/snapstore ./internal/chaos ./internal/loadgen ./cmd/leasestorm
 fi
 
-# The serving stack and its concurrency substrate are race-gated even in
-# -quick mode: snapshot swaps, the reload breaker, the request limiter,
-# the load-diagnostics collector, and the telemetry registry are all
-# about cross-goroutine correctness, so running them without the race
-# detector proves little.
-echo "== go test -race ./internal/serve ./internal/par ./internal/diag ./internal/telemetry ./internal/snapstore"
-go test -race ./internal/serve ./internal/par ./internal/diag ./internal/telemetry ./internal/snapstore
-
-# The snapshot persistence layer is race-gated for the same reason, and
-# its durability claims are re-proven here end to end: the SIGKILL
-# matrix (kill a publisher mid-write at seeded offsets, then cold-start)
-# lives in ./internal/snapstore above; the fault-injection matrix
-# (per-section bit flips, truncation, garbage, manifest rot) and the
-# serve-identical decode gate run at the repo root.
-echo "== snapshot fault matrix + codec equivalence (race-gated)"
-go test -race -run 'TestSnapshotFaultMatrix|TestStoreFallsBackThroughFaultMatrix|TestStoreSurvivesManifestRot|TestSnapshotCodecServesIdenticalBytes|TestColdStartRunsZeroInference' .
-
-echo "== fault-injection smoke (3 seeds: lenient recovers, strict fails)"
-go test -run 'TestFaultInjectionMatrix|TestCorruptDeterministic' .
-
-# The incremental-inference equivalence matrix is race-gated even in
-# -quick mode: the library's delta path splices shared segment slices
-# across the worker pool and patches serving indexes concurrently
-# consumed by lookups, so byte-equivalence without the race detector
-# proves half the claim. The serving-scoped load rides along: it changes
-# the loader's goroutine fan-out and feeds every daemon reload, and
-# TestDeltaReloadBreaker drives corrupt epochs through timer reloads.
-echo "== delta equivalence matrix + reload breaker + serving load (race-gated)"
-go test -race -run 'TestDeltaEquivalence|TestDeltaZeroChurnAliases|TestDeltaReloadBreaker|TestServingLoadMatchesFullLoad' .
-
-# ./internal/serve carries the lookup renderer's differential fuzzers:
-# the JSON string escaper against json.Marshal and the query scan
-# against url.ParseQuery. ./internal/snapstore fuzzes the snapshot open
-# path every daemon serves through (Decode and OpenFile).
-echo "== fuzz seed corpora (go test -run Fuzz)"
-go test -run 'Fuzz' ./internal/mrt ./internal/arinwhois ./internal/lacnicwhois ./internal/telemetry ./internal/serve ./internal/snapstore
-
-# The tracing plane is race-gated even in -quick mode: span trees are
-# built across request goroutines, the collector rings are shared with
-# the /debug/traces scraper, and remote-parent adoption rewrites trace
-# identity under concurrent span starts.
-echo "== tracing plane tests (race-gated)"
-go test -race -run 'Trace|Sampler|Collector|AdoptRemoteParent' ./internal/telemetry ./internal/serve
-
-# bench_val OUT NAME UNIT pulls the value reported under a unit column
-# (ns/op, B/op, allocs/op) of a named benchmark line. Matching on the
-# unit token, not the column position, keeps the helpers correct for
-# benchmarks that add columns (SetBytes inserts MB/s before B/op).
-bench_val() {
-	printf '%s\n' "$1" | awk -v n="$2" -v u="$3" '
-		$1 ~ ("^" n "(-[0-9]+)?$") {
-			for (i = 2; i <= NF; i++) if ($i == u) { print $(i-1); exit }
-		}'
-}
-
-# bench_gate FILE NAME NEW_NS NEW_ALLOCS fails the run when the fresh
-# numbers regress more than 25% in ns/op or allocs/op against the
-# committed baseline in FILE. A missing file or key skips the gate (the
-# benchmark is new; the write below seeds its baseline), so the gate
-# only ever compares like against like.
-bench_gate() {
-	file=$1; name=$2; new_ns=$3; new_allocs=$4
-	[ -f "$file" ] || { echo "  (no baseline $file; skipping gate for $name)"; return 0; }
-	line=$(grep "\"$name\":" "$file" || true)
-	[ -n "$line" ] || { echo "  (no baseline for $name in $file; skipping gate)"; return 0; }
-	base_ns=$(printf '%s' "$line" | sed 's/.*"ns_per_op": \([^,]*\),.*/\1/')
-	base_allocs=$(printf '%s' "$line" | sed 's/.*"allocs_per_op": \([^}]*\)}.*/\1/')
-	[ -n "$new_ns" ] || { echo "FAIL: $name missing from fresh bench output"; exit 1; }
-	awk -v new="$new_ns" -v base="$base_ns" 'BEGIN { exit !(new + 0 <= base * 1.25) }' || {
-		echo "FAIL: $name ns/op regressed >25%: $new_ns vs baseline $base_ns"
-		exit 1
-	}
-	awk -v new="$new_allocs" -v base="$base_allocs" 'BEGIN { exit !(new + 0 <= base * 1.25 + 0.5) }' || {
-		echo "FAIL: $name allocs/op regressed >25%: $new_allocs vs baseline $base_allocs"
-		exit 1
-	}
-	echo "  ok: $name ${new_ns} ns/op (baseline ${base_ns}), ${new_allocs} allocs/op (baseline ${base_allocs})"
-}
-
-# bench_min keeps, per benchmark name, only the fastest of the -count
-# repetitions on stdin. Minimum-of-N is the standard noise reducer for
-# wall-clock benches: transient load only ever slows a run down, so the
-# minimum is the best estimate of the code's true cost, and it is what
-# the regression gate and the committed baselines both use.
-bench_min() {
-	awk '
-	/^Benchmark/ {
-		name = $1
-		sub(/-[0-9]+$/, "", name)
-		if (!(name in bestns)) order[++n] = name
-		if (!(name in bestns) || $3 + 0 < bestns[name]) { bestns[name] = $3 + 0; best[name] = $0 }
-	}
-	END { for (i = 1; i <= n; i++) print best[order[i]] }
-	'
-}
-
-# bench_json renders stdin benchmark lines as a JSON document, stripping
-# the -GOMAXPROCS suffix so keys are stable across machines.
-bench_json() {
-	awk '
-	BEGIN { print "{"; first = 1 }
-	/^Benchmark/ {
-		name = $1
-		sub(/-[0-9]+$/, "", name)
-		ns = ""; bytes = ""; allocs = ""
-		for (i = 2; i <= NF; i++) {
-			if ($i == "ns/op") ns = $(i-1)
-			else if ($i == "B/op") bytes = $(i-1)
-			else if ($i == "allocs/op") allocs = $(i-1)
-		}
-		if (!first) printf ",\n"
-		first = 0
-		printf "  \"%s\": {\"iterations\": %s, \"ns_per_op\": %s, \"bytes_per_op\": %s, \"allocs_per_op\": %s}", \
-			name, $2, ns, bytes, allocs
-	}
-	END { if (!first) printf "\n"; print "}" }
-	'
-}
-
-echo "== benchmark smoke (BenchmarkTable1, BenchmarkLoadDataset, BenchmarkInferRegion, reload benches)"
-# Time-based windows, not tiny fixed counts: BenchmarkTable1 allocates
-# ~2.6MB/op, and a 3-iteration run finishes before GC pressure builds,
-# understating the sustained cost by ~40%. A 1s window reports the
-# steady state the committed baselines must be comparable against.
-bench_out=$(go test -run '^$' -bench 'BenchmarkTable1$|BenchmarkLoadDataset$|BenchmarkFullReload$|BenchmarkServingReload$|BenchmarkDeltaReload$|BenchmarkInferBuild$' -benchmem -benchtime 1s -count 3 .)
-echo "$bench_out"
-infer_out=$(go test -run '^$' -bench 'BenchmarkInferRegion$' -benchmem -benchtime 1s -count 3 ./internal/core)
-echo "$infer_out"
-core_out=$(printf '%s\n%s' "$bench_out" "$infer_out" | bench_min)
-
-echo "== core bench regression gate (vs committed BENCH_core.json)"
-for b in BenchmarkTable1 BenchmarkLoadDataset BenchmarkInferRegion BenchmarkFullReload BenchmarkServingReload BenchmarkDeltaReload BenchmarkInferBuild; do
-	bench_gate BENCH_core.json "$b" "$(bench_val "$core_out" "$b" ns/op)" "$(bench_val "$core_out" "$b" allocs/op)"
-done
-
-# Hard gate on the point of the delta path: an incremental reload at 1%
-# churn must beat the full parse+infer+index reload by at least 5x ns/op
-# (the ISSUE's acceptance bar). Unlike the drift gate above this is
-# absolute — no baseline file can relax it.
-full_ns=$(bench_val "$core_out" BenchmarkFullReload ns/op)
-delta_ns=$(bench_val "$core_out" BenchmarkDeltaReload ns/op)
-[ -n "$full_ns" ] && [ -n "$delta_ns" ] || {
-	echo "FAIL: reload benchmark pair missing from bench output"
-	exit 1
-}
-awk -v d="$delta_ns" -v f="$full_ns" 'BEGIN { exit !(d * 5 <= f) }' || {
-	echo "FAIL: delta reload not 5x faster than full reload: ${delta_ns} ns/op vs ${full_ns} ns/op"
-	exit 1
-}
-echo "  ok: delta reload ${delta_ns} ns/op vs full reload ${full_ns} ns/op (>=5x)"
-
-# Hard gate on the serving-scoped load: the daemon's full reload parses
-# only the sources the inference reads, so it must cost at most 0.8x the
-# reload that parses every source. Absolute, like the gate above.
-serving_ns=$(bench_val "$core_out" BenchmarkServingReload ns/op)
-[ -n "$serving_ns" ] || { echo "FAIL: BenchmarkServingReload missing from bench output"; exit 1; }
-awk -v s="$serving_ns" -v f="$full_ns" 'BEGIN { exit !(s <= f * 0.8) }' || {
-	echo "FAIL: serving reload not <= 0.8x full reload: ${serving_ns} ns/op vs ${full_ns} ns/op"
-	exit 1
-}
-echo "  ok: serving reload ${serving_ns} ns/op vs full reload ${full_ns} ns/op (<=0.8x)"
-
-printf '%s\n' "$core_out" | bench_json > BENCH_core.json
-echo "== wrote BENCH_core.json"
-cat BENCH_core.json
-
-echo "== snapshot persistence benchmarks (encode / decode / cold start / mmap)"
-# count 5, not 3: the cold-start bench touches disk, and on a shared
-# 1-CPU box host-steal bursts can outlast a 3-rep window — more reps
-# give the minimum a better chance of landing in a quiet interval.
-snap_out=$(go test -run '^$' -bench 'BenchmarkSnapshotEncode$|BenchmarkSnapshotDecode$|BenchmarkSnapshotColdStart$|BenchmarkSnapshotMmapColdStart$' -benchmem -benchtime 1s -count 5 . | bench_min)
-echo "$snap_out"
-
-echo "== snapshot bench regression gate (vs committed BENCH_snapshot.json)"
-for b in BenchmarkSnapshotEncode BenchmarkSnapshotDecode BenchmarkSnapshotColdStart BenchmarkSnapshotMmapColdStart; do
-	bench_gate BENCH_snapshot.json "$b" "$(bench_val "$snap_out" "$b" ns/op)" "$(bench_val "$snap_out" "$b" allocs/op)"
-done
-
-# Hard gate on the point of persistence: a cold start from the snapshot
-# store (scan + map + validate, through LoadCurrentOpen) must beat the full
-# parse+infer+index reload it replaces by at least 5x ns/op. Absolute,
-# like the delta gate above — no baseline file can relax it.
-cold_ns=$(bench_val "$snap_out" BenchmarkSnapshotColdStart ns/op)
-[ -n "$cold_ns" ] || { echo "FAIL: BenchmarkSnapshotColdStart missing from bench output"; exit 1; }
-awk -v c="$cold_ns" -v f="$full_ns" 'BEGIN { exit !(c * 5 <= f) }' || {
-	echo "FAIL: snapshot cold start not 5x faster than full reload: ${cold_ns} ns/op vs ${full_ns} ns/op"
-	exit 1
-}
-echo "  ok: snapshot cold start ${cold_ns} ns/op vs full reload ${full_ns} ns/op (>=5x)"
-
-# Hard gate on the point of the mmap path: opening a mapped generation
-# must beat the heap cold start this repo shipped before the v3 format
-# landed by 5x in ns/op and 50x in allocs/op. The comparators are the
-# pre-v3 committed BenchmarkSnapshotColdStart baseline (11,706,907 ns,
-# 54,509 allocs — the v2 decode-everything path), pinned as literals:
-# the live heap benches have since gotten faster themselves, and a gate
-# against a moving comparator would silently relax. Absolute, like the
-# gates above — no baseline file can weaken it.
-mmap_ns=$(bench_val "$snap_out" BenchmarkSnapshotMmapColdStart ns/op)
-mmap_allocs=$(bench_val "$snap_out" BenchmarkSnapshotMmapColdStart allocs/op)
-[ -n "$mmap_ns" ] && [ -n "$mmap_allocs" ] || { echo "FAIL: BenchmarkSnapshotMmapColdStart missing from bench output"; exit 1; }
-awk -v m="$mmap_ns" 'BEGIN { exit !(m * 5 <= 11706907) }' || {
-	echo "FAIL: mmap cold start not 5x under the pre-v3 heap baseline: ${mmap_ns} ns/op vs 11706907 ns/op"
-	exit 1
-}
-awk -v a="$mmap_allocs" 'BEGIN { exit !(a * 50 <= 54509) }' || {
-	echo "FAIL: mmap cold start not 50x under the pre-v3 alloc baseline: ${mmap_allocs} allocs/op vs 54509 allocs/op"
-	exit 1
-}
-echo "  ok: mmap cold start ${mmap_ns} ns/op, ${mmap_allocs} allocs/op (gates: 5x/50x vs pre-v3 baseline)"
-
-printf '%s\n' "$snap_out" | bench_json > BENCH_snapshot.json
-echo "== wrote BENCH_snapshot.json"
-cat BENCH_snapshot.json
-
 # Shard-scaling display run: same benchmark at 1, 4, and 8 workers.
-# Display-only — the JSON keys strip the -cpu suffix, so recording these
-# would collide with the default-width entry above, and the numbers only
-# mean "speedup" on a machine with that many physical CPUs anyway.
+# Display-only — the numbers only mean "speedup" on a machine with that
+# many physical CPUs, so no baseline records them.
 echo "== BenchmarkInferRegion shard scaling (-cpu 1,4,8; display only)"
 go test -run '^$' -bench 'BenchmarkInferRegion$' -benchtime 100x -cpu 1,4,8 ./internal/core | grep -E '^(Benchmark|PASS|ok)' || true
 
-echo "== serving-path lookup benchmarks (flat LPM index)"
-# The per-address benches run nanoseconds per op; a fixed 2M iterations
-# keeps the measurement window well clear of timer noise. The batch
-# bench is 3 orders of magnitude heavier, so it gets its own count.
-addr_out=$(go test -run '^$' -bench 'BenchmarkLookupAddr$' -benchmem -benchtime 2000000x -count 5 ./internal/serve)
-echo "$addr_out"
-batch_out=$(go test -run '^$' -bench 'BenchmarkLookupBatch$' -benchmem -benchtime 5000x -count 5 ./internal/serve)
-echo "$batch_out"
-# The handler rung: one /lookup and one 1000-address /lookup/batch
-# through the whole routed handler (middleware, deadline, query scan,
-# lookup, render) on a discard writer, no network.
-handler_out=$(go test -run '^$' -bench 'BenchmarkHandlerLookup$|BenchmarkHandlerLookupBatch$' -benchmem -benchtime 1s -count 5 ./internal/serve)
-echo "$handler_out"
-serve_out=$(printf '%s\n%s\n%s' "$addr_out" "$batch_out" "$handler_out" | bench_min)
-
-# The single-address lookup is the daemon's hottest path; it must stay
-# allocation-free no matter what the 25% drift gate would tolerate.
-lookup_allocs=$(bench_val "$serve_out" BenchmarkLookupAddr allocs/op)
-[ "$lookup_allocs" = "0" ] || {
-	echo "FAIL: BenchmarkLookupAddr allocates ($lookup_allocs allocs/op, want 0)"
-	exit 1
-}
-
-# The handler rung starts no goroutine and reflects over nothing: the
-# deadline context, the request copy and the response gate are all it
-# may allocate. Budget: 8 allocs/op, whatever the drift gate tolerates.
-handler_allocs=$(bench_val "$serve_out" BenchmarkHandlerLookup allocs/op)
-[ -n "$handler_allocs" ] || { echo "FAIL: BenchmarkHandlerLookup missing from bench output"; exit 1; }
-awk -v a="$handler_allocs" 'BEGIN { exit !(a + 0 <= 8) }' || {
-	echo "FAIL: BenchmarkHandlerLookup allocates $handler_allocs allocs/op, budget 8"
-	exit 1
-}
-
-echo "== serve bench regression gate (vs committed BENCH_serve.json)"
-for b in BenchmarkLookupAddr BenchmarkLookupBatch BenchmarkHandlerLookup BenchmarkHandlerLookupBatch; do
-	bench_gate BENCH_serve.json "$b" "$(bench_val "$serve_out" "$b" ns/op)" "$(bench_val "$serve_out" "$b" allocs/op)"
-done
-
-printf '%s\n' "$serve_out" | bench_json > BENCH_serve.json
-echo "== wrote BENCH_serve.json"
-cat BENCH_serve.json
-
-echo "== telemetry: /metrics scrape smoke"
-# Boot the daemon on an ephemeral port against a small synthetic dataset,
-# scrape /metrics, and fail if any required family is missing. This is the
-# end-to-end proof that instrumentation is actually wired: registry ->
-# server routes -> diag bridge -> exposition. The daemon runs without a
-# reload timer, so the memory families below report a publisher that
-# holds only its serving state and has returned its boot build's heap.
-scrape_dir=$(mktemp -d)
-leased_pid=""
-replica_pid=""
-# Every command in the trap tolerates failure: under set -e a kill of an
-# already-dead pid would otherwise abort the trap and overwrite the
-# script's real exit status with 1.
-heap_pid=""
-mmap_pid=""
-trap '{ [ -n "$leased_pid" ] && kill "$leased_pid"; [ -n "$replica_pid" ] && kill "$replica_pid"; [ -n "$heap_pid" ] && kill "$heap_pid"; [ -n "$mmap_pid" ] && kill "$mmap_pid"; rm -rf "$scrape_dir"; } 2>/dev/null || true' EXIT
-go run ./cmd/synthgen -out "$scrape_dir/ds" -scale 0.005 -seed 11 >/dev/null
-go build -o "$scrape_dir/leased" ./cmd/leased
-# -trace-sample 1 so the single smoke request below is definitely traced;
-# the /debug/traces scrape further down depends on it.
-"$scrape_dir/leased" -addr 127.0.0.1:0 -data "$scrape_dir/ds" -snapshot-dir "$scrape_dir/snaps" \
-	-trace-sample 1 -trace-seed 7 >"$scrape_dir/log" 2>&1 &
-leased_pid=$!
-
-addr=""
-i=0
-while [ $i -lt 100 ]; do
-	addr=$(sed -n 's/.* msg=listening addr=\([^ ]*\).*/\1/p' "$scrape_dir/log")
-	[ -n "$addr" ] && break
-	kill -0 "$leased_pid" 2>/dev/null || { cat "$scrape_dir/log"; echo "leased died before listening"; exit 1; }
-	sleep 0.1
-	i=$((i + 1))
-done
-[ -n "$addr" ] || { cat "$scrape_dir/log"; echo "leased never reported a listen address"; exit 1; }
-
-curl -fsS "http://$addr/lookup?prefix=1.0.0.0/24" >/dev/null || true  # one real request so latency buckets exist
-metrics=$(curl -fsS "http://$addr/metrics")
-for family in \
-	http_requests_total \
-	http_request_duration_seconds_bucket \
-	reload_cycles_total \
-	reload_cycles_by_mode_total \
-	reload_breaker_open \
-	snapshot_age_seconds \
-	ingest_parsed_records_total \
-	ingest_skipped_records_total \
-	snapshot_publish_total \
-	snapshot_bytes \
-	go_goroutines \
-	go_heap_alloc_bytes \
-	go_heap_released_bytes \
-	go_gc_cycles_total \
-	process_resident_memory_bytes \
-	process_start_time_seconds
-do
-	if ! printf '%s\n' "$metrics" | grep -q "^$family"; then
-		printf '%s\n' "$metrics" | head -40
-		echo "FAIL: /metrics missing family $family"
-		exit 1
-	fi
-done
-echo "ok: all required metric families present at http://$addr/metrics"
-
-echo "== tracing: /debug/traces scrape smoke"
-# The lookup above ran at -trace-sample 1, so the collector must hold at
-# least one finished request trace (and the boot reload's trace): proof
-# the whole plane is wired — sampler -> span tree -> collector ->
-# exposition.
-traces=$(curl -fsS "http://$addr/debug/traces")
-printf '%s\n' "$traces" | grep -q '"trace_id"' || {
-	printf '%s\n' "$traces" | head -20
-	echo "FAIL: /debug/traces returned no sampled traces"
-	exit 1
-}
-printf '%s\n' "$traces" | grep -q '"kind": "reload"' || {
-	echo "FAIL: /debug/traces holds no reload trace"
-	exit 1
-}
-echo "ok: /debug/traces serves sampled request and reload traces"
-
-echo "== replication: replica chained off the publisher's /snapshot/current"
-# A second daemon with no dataset at all, serving the publisher's
-# snapshot. Proves the whole chain live: encode -> publish -> HTTP fetch
-# -> paranoid decode -> serve, with the replica metric families scraped.
-"$scrape_dir/leased" -addr 127.0.0.1:0 -data /nonexistent \
-	-snapshot-url "http://$addr/snapshot/current" -poll 250ms >"$scrape_dir/replica.log" 2>&1 &
-replica_pid=$!
-raddr=""
-i=0
-while [ $i -lt 100 ]; do
-	raddr=$(sed -n 's/.* msg=listening addr=\([^ ]*\).*/\1/p' "$scrape_dir/replica.log")
-	[ -n "$raddr" ] && break
-	kill -0 "$replica_pid" 2>/dev/null || { cat "$scrape_dir/replica.log"; echo "replica died before listening"; exit 1; }
-	sleep 0.1
-	i=$((i + 1))
-done
-[ -n "$raddr" ] || { cat "$scrape_dir/replica.log"; echo "replica never reported a listen address"; exit 1; }
-
-curl -fsS "http://$addr/table1" > "$scrape_dir/table1.pub"
-curl -fsS "http://$raddr/table1" > "$scrape_dir/table1.rep"
-cmp -s "$scrape_dir/table1.pub" "$scrape_dir/table1.rep" || {
-	echo "FAIL: replica /table1 differs from publisher"
-	exit 1
-}
-curl -fsS -o /dev/null "http://$raddr/snapshot/current" || {
-	echo "FAIL: replica does not re-expose /snapshot/current"
-	exit 1
-}
-rmetrics=$(curl -fsS "http://$raddr/metrics")
-for family in replica_fetch_total replica_generation_lag; do
-	if ! printf '%s\n' "$rmetrics" | grep -q "^$family"; then
-		echo "FAIL: replica /metrics missing family $family"
-		exit 1
-	fi
-done
-echo "== mmap/heap load-mode identity: same snapshot, byte-identical answers"
-# Boot two more replicas off the same publisher: one with a local store
-# (streamed fetch-to-disk + mapped serving — mapping needs a directory
-# to map from) and one without a store, which decodes the identical
-# fetched bytes on the heap. Every read endpoint must answer
-# byte-for-byte the same — the proof that the zero-copy path changes
-# where bytes live, never what they say.
-"$scrape_dir/leased" -addr 127.0.0.1:0 -data /nonexistent -snapshot-dir "$scrape_dir/msnaps" \
-	-snapshot-url "http://$addr/snapshot/current" -poll 250ms >"$scrape_dir/mmap.log" 2>&1 &
-mmap_pid=$!
-"$scrape_dir/leased" -addr 127.0.0.1:0 -data /nonexistent \
-	-snapshot-url "http://$addr/snapshot/current" -poll 250ms >"$scrape_dir/heap.log" 2>&1 &
-heap_pid=$!
-maddr=""
-haddr=""
-i=0
-while [ $i -lt 100 ]; do
-	maddr=$(sed -n 's/.* msg=listening addr=\([^ ]*\).*/\1/p' "$scrape_dir/mmap.log")
-	haddr=$(sed -n 's/.* msg=listening addr=\([^ ]*\).*/\1/p' "$scrape_dir/heap.log")
-	[ -n "$maddr" ] && [ -n "$haddr" ] && break
-	kill -0 "$mmap_pid" 2>/dev/null || { cat "$scrape_dir/mmap.log"; echo "mmap replica died before listening"; exit 1; }
-	kill -0 "$heap_pid" 2>/dev/null || { cat "$scrape_dir/heap.log"; echo "heap replica died before listening"; exit 1; }
-	sleep 0.1
-	i=$((i + 1))
-done
-[ -n "$maddr" ] && [ -n "$haddr" ] || { echo "identity replicas never reported listen addresses"; exit 1; }
-
-# Wait out the poll interval: listening precedes the first fetch.
-for a in "$maddr" "$haddr"; do
-	i=0
-	while [ $i -lt 100 ]; do
-		curl -fsS "http://$a/readyz" >/dev/null 2>&1 && break
-		sleep 0.1
-		i=$((i + 1))
-	done
-done
-curl -fsS "http://$maddr/statusz" | grep -q '"load_mode": "mmap"' || {
-	curl -fsS "http://$maddr/statusz" | head -20
-	echo "FAIL: mmap replica /statusz does not report load_mode mmap"
-	exit 1
-}
-curl -fsS "http://$haddr/statusz" | grep -q '"load_mode": "heap"' || {
-	curl -fsS "http://$haddr/statusz" | head -20
-	echo "FAIL: heap replica /statusz does not report load_mode heap"
-	exit 1
-}
-for path in "/table1" "/loadreport" "/lookup?prefix=1.0.0.0/24" "/lookup?ip=1.2.3.4" "/lookup?asn=64500"; do
-	# No -f: a non-200 body (unknown ASN, say) still has to match its
-	# twin. -s keeps curl quiet but connection failures still exit
-	# non-zero, and the non-empty check below catches an empty pair.
-	curl -sS "http://$maddr$path" > "$scrape_dir/ep.mmap"
-	curl -sS "http://$haddr$path" > "$scrape_dir/ep.heap"
-	[ -s "$scrape_dir/ep.mmap" ] || { echo "FAIL: empty response from mmap replica on $path"; exit 1; }
-	cmp -s "$scrape_dir/ep.mmap" "$scrape_dir/ep.heap" || {
-		echo "FAIL: mmap and heap replicas disagree on $path"
-		exit 1
-	}
-done
-batch='{"ips": ["1.2.3.4", "8.8.8.8", "100.64.1.1", "198.51.100.7"]}'
-curl -fsS -X POST -d "$batch" "http://$maddr/lookup/batch" > "$scrape_dir/batch.mmap"
-curl -fsS -X POST -d "$batch" "http://$haddr/lookup/batch" > "$scrape_dir/batch.heap"
-cmp -s "$scrape_dir/batch.mmap" "$scrape_dir/batch.heap" || {
-	echo "FAIL: mmap and heap replicas disagree on POST /lookup/batch"
-	exit 1
-}
-kill "$mmap_pid" 2>/dev/null
-wait "$mmap_pid" 2>/dev/null || true
-mmap_pid=""
-kill "$heap_pid" 2>/dev/null
-wait "$heap_pid" 2>/dev/null || true
-heap_pid=""
-kill "$replica_pid" 2>/dev/null
-wait "$replica_pid" 2>/dev/null || true
-replica_pid=""
-kill "$leased_pid" 2>/dev/null
-wait "$leased_pid" 2>/dev/null || true
-leased_pid=""
-echo "ok: replica serves the publisher's bytes; mmap and heap load modes answer byte-identically"
-
-# The fleet chaos harness is race-gated even in -quick mode: the proxy
-# mutates fault state under concurrent connections, the load generator
-# fans out workers, and the checker scrapes a live fleet — every piece
-# is cross-goroutine by construction.
-echo "== fleet chaos harness tests (race-gated)"
-go test -race ./internal/chaos ./internal/loadgen ./cmd/leasestorm
-
-echo "== fleet smoke: publisher + 2 replicas through a reset+heal storm (must pass)"
-# Seed 3 schedules truncate, partition, latency, corrupt and reset
-# windows followed by the generated heal tail; the run must finish with
-# zero invariant violations.
-go build -o "$scrape_dir/leasestorm" ./cmd/leasestorm
-"$scrape_dir/leasestorm" -data "$scrape_dir/ds" -replicas 2 -seed 3 -duration 5s \
-	-qps 60 -reload 400ms -poll 200ms -o "$scrape_dir/storm.json" || {
-	echo "FAIL: healthy fleet storm reported violations (see $scrape_dir/storm.json)"
-	exit 1
-}
-
-echo "== fleet trace assembly gate (cross-process lifecycle + error tails)"
-# The run report must assemble at least one generation-lifecycle trace
-# joining publisher and replica spans under one trace ID, at least one
-# error-tail trace, and at least one trace crossing a process boundary.
-for key in lifecycle_count error_trace_count cross_process_count; do
-	val=$(sed -n "s/.*\"$key\": \([0-9]*\).*/\1/p" "$scrape_dir/storm.json" | head -1)
-	[ -n "$val" ] && [ "$val" -gt 0 ] || {
-		echo "FAIL: storm report $key=${val:-missing}, want >= 1"
-		exit 1
-	}
-done
-echo "ok: storm assembled cross-process lifecycle and error-tail traces"
-
-echo "== fleet sabotage negative check (checker must FAIL a broken fleet)"
-# A checker that cannot fail proves nothing: pin one replica to its boot
-# generation and require the same storm to exit non-zero.
-if "$scrape_dir/leasestorm" -data "$scrape_dir/ds" -replicas 2 -seed 3 -duration 5s \
-	-qps 60 -reload 400ms -poll 200ms -sabotage stale-replica \
-	-o "$scrape_dir/sabotage.json" 2>/dev/null; then
-	echo "FAIL: sabotaged fleet passed the invariant checker"
-	exit 1
-fi
-echo "ok: storm passed clean and the checker caught the sabotaged fleet"
-
-echo "== fleet serving benchmarks (client -> replica HTTP round trip)"
-fleet_out=$(go test -run '^$' -bench 'BenchmarkFleetLookup$|BenchmarkFleetTable1$' -benchmem -benchtime 1s -count 3 ./cmd/leasestorm | bench_min)
-echo "$fleet_out"
-
-echo "== fleet bench regression gate (vs committed BENCH_fleet.json)"
-for b in BenchmarkFleetLookup BenchmarkFleetTable1; do
-	bench_gate BENCH_fleet.json "$b" "$(bench_val "$fleet_out" "$b" ns/op)" "$(bench_val "$fleet_out" "$b" allocs/op)"
-done
-
-printf '%s\n' "$fleet_out" | bench_json > BENCH_fleet.json
-echo "== wrote BENCH_fleet.json"
-cat BENCH_fleet.json
-
-echo "== telemetry: primitive overhead benchmarks"
-tel_out=$(go test -run '^$' -bench 'BenchmarkCounterInc$|BenchmarkHistogramObserve$|BenchmarkCounterVecWith$|BenchmarkWritePrometheus$|BenchmarkTraceDecisionUnsampled$' -benchmem ./internal/telemetry)
-echo "$tel_out"
-
-echo "== telemetry bench regression gate (vs committed BENCH_telemetry.json)"
-for b in BenchmarkCounterInc BenchmarkHistogramObserve BenchmarkCounterVecWith BenchmarkWritePrometheus BenchmarkTraceDecisionUnsampled; do
-	bench_gate BENCH_telemetry.json "$b" "$(bench_val "$tel_out" "$b" ns/op)" "$(bench_val "$tel_out" "$b" allocs/op)"
-done
-
-# Counter.Inc is the hottest instrumentation call (every request, every
-# parsed record). Budget: 50ns/op — far above its real cost, so only a
-# genuine regression (a lock on the hot path, say) trips it.
-counter_ns=$(bench_val "$tel_out" BenchmarkCounterInc ns/op)
-[ -n "$counter_ns" ] || { echo "FAIL: BenchmarkCounterInc missing from bench output"; exit 1; }
-awk -v ns="$counter_ns" 'BEGIN { exit !(ns + 0 <= 50) }' || {
-	echo "FAIL: BenchmarkCounterInc ${counter_ns}ns/op exceeds 50ns/op budget"
-	exit 1
-}
-
-# The unsampled trace decision runs on EVERY request when tracing is on
-# (the default). Budget: 100ns/op and zero allocations — tracing must be
-# invisible to requests it does not sample.
-trace_ns=$(bench_val "$tel_out" BenchmarkTraceDecisionUnsampled ns/op)
-trace_allocs=$(bench_val "$tel_out" BenchmarkTraceDecisionUnsampled allocs/op)
-[ -n "$trace_ns" ] || { echo "FAIL: BenchmarkTraceDecisionUnsampled missing from bench output"; exit 1; }
-awk -v ns="$trace_ns" 'BEGIN { exit !(ns + 0 <= 100) }' || {
-	echo "FAIL: BenchmarkTraceDecisionUnsampled ${trace_ns}ns/op exceeds 100ns/op budget"
-	exit 1
-}
-[ "$trace_allocs" = "0" ] || {
-	echo "FAIL: BenchmarkTraceDecisionUnsampled allocates ($trace_allocs allocs/op, want 0)"
-	exit 1
-}
-
-printf '%s\n' "$tel_out" | bench_json > BENCH_telemetry.json
-echo "== wrote BENCH_telemetry.json"
-cat BENCH_telemetry.json
+echo "== benchmark gate (cmd/benchgate)"
+go run ./cmd/benchgate
