@@ -1,6 +1,6 @@
 // Command experiments regenerates every table and figure of the paper's
 // evaluation section over a synthetic dataset (see DESIGN.md §4 for the
-// experiment index):
+// experiment index) and writes it as Markdown on stdout:
 //
 //	table1    — per-RIR inference groups and the leased share of BGP
 //	table2    — evaluation confusion matrix against the curated reference
@@ -14,41 +14,42 @@
 //	market    — §8 extension: longitudinal market dynamics
 //	relinfer  — §7 study: Gao-inferred AS relationships vs the dataset file
 //	ablations — DESIGN.md design-choice ablations
-//	all       — everything above, in order
+//	all       — the full reproduction report: everything above, in order
 //
 // Usage:
 //
-//	experiments [-data dataset] [-scale 0.02] [-seed 1] [-exp all] [-md report.md]
+//	experiments [-data dataset] [-scale 0.02] [-seed 1] [-exp all]
 //
 // When -data does not exist it is generated first, so
-// `experiments -exp all` works from an empty checkout. The -md flag also
-// writes the full Markdown reproduction report.
+// `experiments -exp all > report.md` works from an empty checkout.
+// Progress goes to stderr; stdout carries only the report.
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
-	"sort"
+	"path/filepath"
 
 	"ipleasing"
+	"ipleasing/internal/synth"
 )
 
 func main() {
 	data := flag.String("data", "", "dataset directory (default: generate into a temp dir)")
 	scale := flag.Float64("scale", 0.02, "generation scale when the dataset is missing")
 	seed := flag.Int64("seed", 1, "generator seed")
-	exp := flag.String("exp", "all", "experiment: table1|table2|table3|fig3|hijackers|abuse|baseline|legacy|geo|market|ablations|all")
-	md := flag.String("md", "", "also write the full Markdown reproduction report to this path")
+	exp := flag.String("exp", "all", "experiment: table1|table2|table3|fig3|hijackers|abuse|baseline|legacy|geo|market|relinfer|ablations|all")
 	flag.Parse()
 
-	if err := run(*data, *scale, *seed, *exp, *md); err != nil {
+	if err := run(os.Stdout, os.Stderr, *data, *scale, *seed, *exp); err != nil {
 		fmt.Fprintln(os.Stderr, "experiments:", err)
 		os.Exit(1)
 	}
 }
 
-func run(dir string, scale float64, seed int64, exp, mdPath string) error {
+func run(stdout, stderr io.Writer, dir string, scale float64, seed int64, exp string) error {
 	if dir == "" {
 		tmp, err := os.MkdirTemp("", "ipleasing-dataset-")
 		if err != nil {
@@ -57,8 +58,8 @@ func run(dir string, scale float64, seed int64, exp, mdPath string) error {
 		defer os.RemoveAll(tmp)
 		dir = tmp
 	}
-	if _, err := os.Stat(dir + "/groundtruth.csv"); os.IsNotExist(err) {
-		fmt.Printf("generating dataset in %s (scale=%.3f seed=%d)...\n", dir, scale, seed)
+	if _, err := os.Stat(filepath.Join(dir, synth.FileGroundTruth)); os.IsNotExist(err) {
+		fmt.Fprintf(stderr, "generating dataset in %s (scale=%.3f seed=%d)...\n", dir, scale, seed)
 		w := ipleasing.Generate(ipleasing.Config{Seed: seed, Scale: scale})
 		if err := w.WriteDir(dir); err != nil {
 			return err
@@ -68,347 +69,9 @@ func run(dir string, scale float64, seed int64, exp, mdPath string) error {
 	if err != nil {
 		return err
 	}
-	res := ds.Infer(ipleasing.Options{})
-
-	if mdPath != "" {
-		if err := ds.WriteReport(mdPath, res); err != nil {
-			return err
-		}
-		fmt.Printf("wrote Markdown report to %s\n", mdPath)
+	var ids []string
+	if exp != "all" {
+		ids = []string{exp}
 	}
-
-	runOne := func(name string, fn func(*ipleasing.Dataset, *ipleasing.Result) error) error {
-		fmt.Printf("\n================ %s ================\n", name)
-		return fn(ds, res)
-	}
-	experiments := []struct {
-		name string
-		fn   func(*ipleasing.Dataset, *ipleasing.Result) error
-	}{
-		{"table1", table1},
-		{"table2", table2},
-		{"table3", table3},
-		{"fig3", fig3},
-		{"hijackers", hijackers},
-		{"abuse", abuseExp},
-		{"baseline", baselineExp},
-		{"legacy", legacyExp},
-		{"geo", geoExp},
-		{"market", marketExp},
-		{"relinfer", relinferExp},
-		{"ablations", ablations},
-	}
-	if exp == "all" {
-		for _, e := range experiments {
-			if err := runOne(e.name, e.fn); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	for _, e := range experiments {
-		if e.name == exp {
-			return runOne(e.name, e.fn)
-		}
-	}
-	return fmt.Errorf("unknown experiment %q", exp)
-}
-
-// table1 prints the per-RIR group counts (paper Table 1).
-func table1(ds *ipleasing.Dataset, res *ipleasing.Result) error {
-	fmt.Printf("%-22s", "Inference Group")
-	for _, reg := range ipleasing.Registries {
-		fmt.Printf("%10s", reg)
-	}
-	fmt.Printf("%12s\n", "All Regions")
-
-	rows := []struct {
-		label string
-		cat   ipleasing.Category
-	}{
-		{"1 Unused", ipleasing.Unused},
-		{"2 Aggregated Customer", ipleasing.AggregatedCustomer},
-		{"3 ISP Customer", ipleasing.ISPCustomer},
-		{"3 Leased", ipleasing.LeasedNoRootOrigin},
-		{"4 Delegated Customer", ipleasing.DelegatedCustomer},
-		{"4 Leased", ipleasing.LeasedWithRootOrigin},
-	}
-	for _, row := range rows {
-		fmt.Printf("%-22s", row.label)
-		total := 0
-		for _, reg := range ipleasing.Registries {
-			n := res.Regions[reg].Counts[row.cat]
-			total += n
-			fmt.Printf("%10d", n)
-		}
-		fmt.Printf("%12d\n", total)
-	}
-	fmt.Printf("%-22s", "Leased/Total leaves")
-	totLeased, totLeaves := 0, 0
-	for _, reg := range ipleasing.Registries {
-		rr := res.Regions[reg]
-		totLeased += rr.Leased()
-		totLeaves += rr.TotalLeaves
-		fmt.Printf("%10s", fmt.Sprintf("%d/%d", rr.Leased(), rr.TotalLeaves))
-	}
-	fmt.Printf("%12s\n", fmt.Sprintf("%d/%d", totLeased, totLeaves))
-	fmt.Printf("\nleased prefixes: %d of %d routed prefixes = %.1f%% (paper: 4.1%%)\n",
-		res.TotalLeased(), res.TotalBGPPrefixes, 100*res.LeasedShareOfBGP())
-	fmt.Printf("leased address space: %d of %d routed addresses = %.1f%% (paper: 0.9%%)\n",
-		res.LeasedAddressSpace(), res.RoutedSpace,
-		100*float64(res.LeasedAddressSpace())/float64(res.RoutedSpace))
-	return nil
-}
-
-// table2 prints the evaluation confusion matrix (paper Table 2).
-func table2(ds *ipleasing.Dataset, res *ipleasing.Result) error {
-	ref := ds.Curate()
-	ev := ipleasing.Evaluate(ref, res)
-	fmt.Printf("brokers: %d exact, %d fuzzy, %d absent; %d maintainer handles; %d broker prefixes (%d excluded)\n\n",
-		ref.BrokersExact, ref.BrokersFuzzy, ref.BrokersUnmatched,
-		ref.MaintainerHandles, ref.BrokerPrefixes, ref.Excluded)
-	fmt.Print(ev.Confusion.String())
-	fmt.Println("\npaper: precision 0.98, recall 0.82, specificity 0.98, NPV 0.75, accuracy 0.88")
-	fmt.Println("false negatives by inferred category (paper: dominated by group-1 unused + legacy):")
-	fns := ev.FalseNegativesByCategory()
-	cats := make([]ipleasing.Category, 0, len(fns))
-	for c := range fns {
-		cats = append(cats, c)
-	}
-	sort.Slice(cats, func(i, j int) bool { return cats[i] < cats[j] })
-	for _, c := range cats {
-		fmt.Printf("  %-22s %d\n", c, fns[c])
-	}
-	return nil
-}
-
-// table3 prints the top-3 IP holders per registry (paper Table 3).
-func table3(ds *ipleasing.Dataset, res *ipleasing.Result) error {
-	top := ds.TopHolders(res, 3)
-	fmt.Printf("%-8s  %-45s %-6s %s\n", "RIR", "Organization", "Count", "Lease destinations")
-	for _, reg := range ipleasing.Registries {
-		for i, oc := range top[reg] {
-			label := ""
-			if i == 0 {
-				label = reg.String()
-			}
-			fmt.Printf("%-8s  %-45s %-6d %d countries\n", label, oc.Name, oc.Count, oc.Countries)
-		}
-	}
-	return nil
-}
-
-// fig3 renders the lease timeline of the marketplace prefix.
-func fig3(ds *ipleasing.Dataset, res *ipleasing.Result) error {
-	series, err := ds.LoadTimeline()
-	if err != nil {
-		return err
-	}
-	if err := series.Render(os.Stdout); err != nil {
-		return err
-	}
-	fmt.Println("\nlease periods:")
-	for _, p := range series.LeasePeriods() {
-		fmt.Printf("  AS%-8d %s – %s\n", p.ASN, p.From.Format("2006-01"), p.To.Format("2006-01"))
-	}
-	fmt.Println("AS0 gaps between leases:")
-	for _, p := range series.AS0Gaps() {
-		fmt.Printf("  %s – %s\n", p.From.Format("2006-01"), p.To.Format("2006-01"))
-	}
-	return nil
-}
-
-// hijackers prints the §6.3 ecosystem analyses.
-func hijackers(ds *ipleasing.Dataset, res *ipleasing.Result) error {
-	fmt.Println("top originators of leased prefixes:")
-	for _, oc := range ds.TopOriginators(res, 5) {
-		fmt.Printf("  AS%-8d %-40s %d\n", oc.ASN, oc.Name, oc.Count)
-	}
-	fmt.Println("\ntop facilitators per registry:")
-	fac := ds.TopFacilitators(res, 3)
-	for _, reg := range ipleasing.Registries {
-		fmt.Printf("  %-8s", reg)
-		for _, oc := range fac[reg] {
-			fmt.Printf("  %s(%d)", oc.Name, oc.Count)
-		}
-		fmt.Println()
-	}
-	ov := ds.HijackerAnalysis(res)
-	fmt.Printf("\nserial hijackers among lease originators: %d/%d = %.1f%% (paper: 2.9%%)\n",
-		ov.HijackerOriginators, ov.Originators, 100*ov.OriginatorHijackerShare())
-	fmt.Printf("leased prefixes originated by hijackers: %d/%d = %.1f%% (paper: 13.3%%)\n",
-		ov.LeasedByHijackers, ov.LeasedTotal, 100*ov.LeasedHijackedShare())
-	fmt.Printf("non-leased prefixes originated by hijackers: %d/%d = %.1f%% (paper: 3.1%%)\n",
-		ov.NonLeasedByHijackers, ov.NonLeasedTotal, 100*ov.NonLeasedHijackedShare())
-	return nil
-}
-
-// abuseExp prints the §6.4 abuse correlation.
-func abuseExp(ds *ipleasing.Dataset, res *ipleasing.Result) error {
-	rep := ds.AnalyzeAbuse(res)
-	fmt.Printf("leased prefixes originated by ASN-DROP ASes:     %d/%d = %.2f%% (paper: 1.1%%)\n",
-		rep.LeasedDropped, rep.LeasedTotal, 100*rep.LeasedDropShare())
-	fmt.Printf("non-leased prefixes originated by ASN-DROP ASes: %d/%d = %.2f%% (paper: 0.2%%)\n",
-		rep.NonLeasedDropped, rep.NonLeasedTotal, 100*rep.NonLeasedDropShare())
-	fmt.Printf("abuse ratio: %.1fx (paper: ~5x)\n\n", rep.AbuseRatio())
-	fmt.Printf("ROAs covering leased prefixes: %d (%d prefixes with ROAs of %d leased)\n",
-		rep.LeasedROAs, rep.LeasedWithROA, rep.LeasedTotal)
-	fmt.Printf("  blocklisted-AS ROAs: %d = %.1f%% (paper: 1.6%%)\n",
-		rep.LeasedROAsBad, 100*rep.LeasedROABadShare())
-	fmt.Printf("non-leased prefixes with ROAs: %d; with blocklisted-AS ROAs: %d = %.1f%% (paper: 0.2%%)\n",
-		rep.NonLeasedWithROA, rep.NonLeasedROABad, 100*rep.NonLeasedROABadShare())
-
-	fmt.Println("\nroute-origin validation states (RFC 6811, extension):")
-	fmt.Printf("  %-12s %10s %12s\n", "state", "leased", "non-leased")
-	for s, name := range []string{"NotFound", "Valid", "Invalid"} {
-		fmt.Printf("  %-12s %9.1f%% %11.1f%%\n", name,
-			100*float64(rep.LeasedROV[s])/float64(rep.LeasedTotal),
-			100*float64(rep.NonLeasedROV[s])/float64(rep.NonLeasedTotal))
-	}
-	return nil
-}
-
-// baselineExp prints the §6.1 comparison with Prehn et al.
-func baselineExp(ds *ipleasing.Dataset, res *ipleasing.Result) error {
-	base := ds.BaselineInfer()
-	cmp := ipleasing.CompareBaseline(base, res)
-	fmt.Printf("maintainer-diff baseline classified %d leaves\n", len(base))
-	fmt.Printf("  leased under both methods:        %d\n", cmp.Both)
-	fmt.Printf("  leased under baseline only:       %d (incl. inactive leases our method calls unused)\n", cmp.OnlyBaseline)
-	fmt.Printf("  leased under routing-aware only:  %d (same-maintainer direct leases)\n", cmp.OnlyOurs)
-	fmt.Printf("  leased under neither:             %d\n", cmp.Neither)
-	fmt.Printf("  agreement: %.1f%%\n", 100*cmp.Agreement())
-	return nil
-}
-
-// legacyExp runs the §8 legacy-space extension and shows the recall gain
-// when its verdicts augment the core methodology.
-func legacyExp(ds *ipleasing.Dataset, res *ipleasing.Result) error {
-	infs := ds.InferLegacy(ipleasing.Options{})
-	s := ipleasing.SummarizeLegacy(infs)
-	fmt.Printf("legacy blocks classified: %d\n", s.Total)
-	fmt.Printf("  unadvertised:    %d\n", s.Counts[ipleasing.LegacyUnadvertised])
-	fmt.Printf("  holder-operated: %d\n", s.Counts[ipleasing.LegacyHolderOperated])
-	fmt.Printf("  leased:          %d\n", s.Counts[ipleasing.LegacyLeased])
-	fmt.Printf("  no-expectation:  %d\n", s.Counts[ipleasing.LegacyNoExpectation])
-
-	var extra []ipleasing.Prefix
-	for _, inf := range infs {
-		if inf.Verdict == ipleasing.LegacyLeased {
-			extra = append(extra, inf.Prefix)
-		}
-	}
-	ref := ds.Curate()
-	before := ipleasing.Evaluate(ref, res)
-	after := ipleasing.EvaluateAugmented(ref, res, extra)
-	fmt.Printf("\nTable 2 recall without the extension: %.3f (FN=%d)\n",
-		before.Confusion.Recall(), before.Confusion.FN)
-	fmt.Printf("Table 2 recall with legacy extension: %.3f (FN=%d)\n",
-		after.Confusion.Recall(), after.Confusion.FN)
-	fmt.Printf("precision unchanged: %.3f -> %.3f\n",
-		before.Confusion.Precision(), after.Confusion.Precision())
-	return nil
-}
-
-// geoExp measures geolocation-database disagreement (§8 extension).
-func geoExp(ds *ipleasing.Dataset, res *ipleasing.Result) error {
-	rep := ds.AnalyzeGeo(res)
-	if rep == nil {
-		fmt.Println("dataset carries no geolocation panel")
-		return nil
-	}
-	fmt.Printf("geolocation providers: %d\n", len(ds.Geo.DBs))
-	fmt.Printf("leased prefixes with inconsistent geolocation:     %d/%d = %.1f%%\n",
-		rep.LeasedDisagree, rep.LeasedTotal, 100*rep.LeasedShare())
-	fmt.Printf("non-leased prefixes with inconsistent geolocation: %d/%d = %.1f%%\n",
-		rep.NonLeasedDisagree, rep.NonLeasedTotal, 100*rep.NonLeasedShare())
-	fmt.Printf("worst leased prefix geolocates to %d different countries (paper anecdote: 4 continents across 5 DBs)\n",
-		rep.MaxDistinct)
-	fmt.Println("leased prefixes by number of distinct reported countries:")
-	for n := 1; n <= rep.MaxDistinct; n++ {
-		if c := rep.DistinctHistogram[n]; c > 0 {
-			fmt.Printf("  %d countries: %d prefixes\n", n, c)
-		}
-	}
-	return nil
-}
-
-// marketExp runs the §8 longitudinal market-dynamics extension: monthly
-// lease populations, churn, and lease durations.
-func marketExp(ds *ipleasing.Dataset, res *ipleasing.Result) error {
-	snaps, err := ds.LoadMarket()
-	if err != nil {
-		return err
-	}
-	rep := ds.AnalyzeMarket(snaps, ipleasing.Options{})
-	fmt.Printf("%-10s %8s %6s %6s %10s\n", "month", "leased", "new", "ended", "re-leased")
-	for _, m := range rep.Months {
-		fmt.Printf("%-10s %8d %6d %6d %10d\n",
-			m.Time.Format("2006-01"), m.Leased, m.New, m.Ended, m.Releases)
-	}
-	fmt.Printf("\nmean lease run: %.1f months (right-censored at the %d-month window)\n",
-		rep.MeanLeaseMonths(), len(rep.Months))
-	fmt.Printf("monthly churn rate: %.1f%% of the leased population\n", 100*rep.ChurnRate())
-	fmt.Println("lease-run duration histogram (months: count):")
-	for d := 1; d <= len(rep.Months); d++ {
-		if c := rep.DurationHistogram[d]; c > 0 {
-			fmt.Printf("  %d: %d\n", d, c)
-		}
-	}
-	return nil
-}
-
-// relinferExp probes the §7 dependence on BGP-derived relationship data:
-// infer the AS relationships from the dataset's own RIB paths (Gao
-// heuristic) and re-run the methodology with the inferred graph.
-func relinferExp(ds *ipleasing.Dataset, res *ipleasing.Result) error {
-	g, agreement, err := ds.InferRelationships()
-	if err != nil {
-		return err
-	}
-	fmt.Printf("relationships: %d edges in the dataset file, %d inferred from RIB paths\n",
-		ds.Rel.NumEdges(), g.NumEdges())
-	fmt.Printf("relatedness agreement over the edge union: %.1f%%\n", 100*agreement)
-	alt := ds.InferWithRelationships(g, ipleasing.Options{})
-	fmt.Printf("leased prefixes: %d with the relationship file, %d with the inferred graph (%+d)\n",
-		res.TotalLeased(), alt.TotalLeased(), alt.TotalLeased()-res.TotalLeased())
-	return nil
-}
-
-// ablations quantifies the design choices DESIGN.md calls out.
-func ablations(ds *ipleasing.Dataset, res *ipleasing.Result) error {
-	full := res
-	fmt.Printf("%-34s leased=%d unused=%d\n", "full methodology:",
-		full.TotalLeased(), countCat(full, ipleasing.Unused))
-
-	exact := ds.Infer(ipleasing.Options{RootLookupExactOnly: true})
-	fmt.Printf("%-34s leased=%d unused=%d  (aggregated roots degrade to unused)\n",
-		"exact-only root lookup:", exact.TotalLeased(), countCat(exact, ipleasing.Unused))
-
-	nosib := ds.Infer(ipleasing.Options{DisableSiblingExpansion: true})
-	fmt.Printf("%-34s leased=%d  (+%d subsidiary false leases)\n",
-		"no as2org sibling expansion:", nosib.TotalLeased(), nosib.TotalLeased()-full.TotalLeased())
-
-	wide := ds.Infer(ipleasing.Options{MaxPrefixLen: 32})
-	hyper := 0
-	for _, inf := range wide.All() {
-		if inf.Prefix.Len > 24 {
-			hyper++
-		}
-	}
-	fmt.Printf("%-34s classified=%d (%d hyper-specific leaves displace their parents) vs %d\n",
-		"maxlen 32 (keep hyper-specifics):", len(wide.All()), hyper, len(full.All()))
-
-	vis := ds.Infer(ipleasing.Options{MinVisibility: 2})
-	fmt.Printf("%-34s leased=%d unused=%d  (single-peer routes discounted, §7 vantage-point bias)\n",
-		"min visibility 2:", vis.TotalLeased(), countCat(vis, ipleasing.Unused))
-	return nil
-}
-
-func countCat(res *ipleasing.Result, cat ipleasing.Category) int {
-	n := 0
-	for _, rr := range res.Regions {
-		n += rr.Counts[cat]
-	}
-	return n
+	return ds.WriteReport(stdout, ds.Infer(ipleasing.Options{}), ids...)
 }

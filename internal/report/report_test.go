@@ -35,7 +35,6 @@ func TestMarkdownFull(t *testing.T) {
 	var buf bytes.Buffer
 	err := Markdown(&buf, &Data{
 		Result:          res,
-		Whois:           w.Whois,
 		Reference:       ref,
 		Evaluation:      ev,
 		TopHolders:      ecosystem.TopHolders(res, w.Whois, 3),
@@ -59,11 +58,11 @@ func TestMarkdownFull(t *testing.T) {
 		"## Table 3",
 		"Resilans",
 		"## §6.3",
+		"Top facilitators per registry",
 		"## §6.4",
 		"Abuse ratio",
 		"## §6.1",
-		"## §8 extensions",
-		"**Legacy space**",
+		"## §8 — legacy-space inference",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("report missing %q", want)

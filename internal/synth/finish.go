@@ -2,6 +2,7 @@ package synth
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"ipleasing/internal/hijack"
@@ -93,19 +94,23 @@ func (g *gen) generateTimeline() {
 		return
 	}
 	// Give the timeline ASNs identities and connectivity.
-	names := map[uint32]string{
-		834:    "First Lessee Telecom",
-		8100:   "QuadraNet Enterprises",
-		61317:  "Hivelocity Inc",
-		212384: "Fourth Lessee Networks",
-		211975: "Fourth Lessee Backup",
-		1239:   "Sprint Legacy Services",
+	// In ASN order: each entry draws from the seeded RNG.
+	names := []struct {
+		asn  uint32
+		name string
+	}{
+		{834, "First Lessee Telecom"},
+		{1239, "Sprint Legacy Services"},
+		{8100, "QuadraNet Enterprises"},
+		{61317, "Hivelocity Inc"},
+		{211975, "Fourth Lessee Backup"},
+		{212384, "Fourth Lessee Networks"},
 	}
-	for asn, name := range names {
-		orgID := fmt.Sprintf("ORG-TL-%d", asn)
-		g.w.Orgs.AddAS(asn, orgID)
-		g.w.Orgs.AddOrg(orgID, name, g.country())
-		g.w.Rel.AddP2C(g.tier1[g.rng.Intn(len(g.tier1))], asn)
+	for _, n := range names {
+		orgID := fmt.Sprintf("ORG-TL-%d", n.asn)
+		g.w.Orgs.AddAS(n.asn, orgID)
+		g.w.Orgs.AddOrg(orgID, n.name, g.country())
+		g.w.Rel.AddP2C(g.tier1[g.rng.Intn(len(g.tier1))], n.asn)
 	}
 
 	tl := &Timeline{Prefix: p}
@@ -220,6 +225,7 @@ func (g *gen) generateRPKI() {
 	for a := range g.dropListed {
 		dropASNs = append(dropASNs, a)
 	}
+	slices.Sort(dropASNs)
 
 	var vrps []rpki.VRP
 	emit := func(ri routeInfo, coverShare, extraBadShare float64) {

@@ -2,6 +2,7 @@ package synth
 
 import (
 	"fmt"
+	"slices"
 
 	"ipleasing/internal/core"
 	"ipleasing/internal/netutil"
@@ -612,6 +613,17 @@ func (g *gen) plantBrokerISP(reg whois.Registry, n int, b *cellBudget) {
 	b.del -= n
 }
 
+// brokerMnts returns reg's broker maintainer handles in sorted order, so
+// that draws from the list follow the seed, not map order.
+func (g *gen) brokerMnts(reg whois.Registry) []string {
+	mnts := make([]string, 0, len(g.brokerMnt[reg]))
+	for m := range g.brokerMnt[reg] {
+		mnts = append(mnts, m)
+	}
+	slices.Sort(mnts)
+	return mnts
+}
+
 // plantInactiveLeases creates broker-managed blocks that are leased but
 // not announced: the inference classifies them Unused (the paper's
 // dominant false-negative mode).
@@ -622,10 +634,7 @@ func (g *gen) plantInactiveLeases(reg whois.Registry, n int, b *cellBudget) {
 	if n > b.unused {
 		n = b.unused
 	}
-	mnts := make([]string, 0, len(g.brokerMnt[reg]))
-	for m := range g.brokerMnt[reg] {
-		mnts = append(mnts, m)
-	}
+	mnts := g.brokerMnts(reg)
 	leased := true
 	var pool []*rootCtx
 	for planted := 0; planted < n; {
@@ -662,10 +671,7 @@ func (g *gen) plantLegacyLeases(reg whois.Registry, n int) {
 	if n == 0 || len(g.brokerMnt[reg]) == 0 {
 		return
 	}
-	mnts := make([]string, 0, len(g.brokerMnt[reg]))
-	for m := range g.brokerMnt[reg] {
-		mnts = append(mnts, m)
-	}
+	mnts := g.brokerMnts(reg)
 	db := g.w.Whois.DB(reg)
 	for i := 0; i < n; i++ {
 		h := g.newHolder(reg, fmt.Sprintf("Legacy Registrant %d", i))

@@ -20,9 +20,12 @@ package ipleasing
 
 import (
 	"context"
+	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"runtime/debug"
+	"slices"
 	"sync"
 
 	"ipleasing/internal/abuse"
@@ -429,45 +432,111 @@ func EvaluateAugmented(ref *Reference, res *Result, extraLeased []Prefix) *Evalu
 	return eval.EvaluateAugmented(ref, res, extraLeased)
 }
 
-// WriteReport runs every analysis over the dataset and writes the full
-// reproduction report (all tables, figures, and extensions) as Markdown.
-func (d *Dataset) WriteReport(path string, res *Result) error {
-	ref := d.Curate()
-	ov := d.HijackerAnalysis(res)
-	cmp := CompareBaseline(d.BaselineInfer(), res)
-	leg := SummarizeLegacy(d.InferLegacy(Options{}))
-	data := &report.Data{
-		Result:          res,
-		Whois:           d.Whois,
-		Reference:       ref,
-		Evaluation:      Evaluate(ref, res),
-		TopHolders:      d.TopHolders(res, 3),
-		TopFacilitators: d.TopFacilitators(res, 3),
-		TopOriginators:  d.TopOriginators(res, 5),
-		Hijackers:       &ov,
-		Abuse:           d.AnalyzeAbuse(res),
-		Baseline:        &cmp,
-		Legacy:          &leg,
-		Geo:             d.AnalyzeGeo(res),
-	}
+// WriteReport writes the reproduction report as Markdown: the report
+// sections named by ids (see report.IDs; cmd/experiments -exp names),
+// or the full report when ids is empty. It runs only the analyses those
+// sections need. A section whose analysis the load summary's
+// SkippedAnalyses names is left out; any other failure is returned.
+func (d *Dataset) WriteReport(w io.Writer, res *Result, ids ...string) error {
+	data := &report.Data{Result: res}
 	if d.Load != nil {
 		data.SkippedAnalyses = d.Load.SkippedAnalyses
 	}
-	if series, err := d.LoadTimeline(); err == nil {
-		data.Timeline = series
+	skipped := func(analysis string) bool { return slices.Contains(data.SkippedAnalyses, analysis) }
+	evaluate := func() {
+		if data.Evaluation == nil {
+			data.Reference = d.Curate()
+			data.Evaluation = Evaluate(data.Reference, res)
+		}
 	}
-	if snaps, err := d.LoadMarket(); err == nil {
-		data.Market = d.AnalyzeMarket(snaps, Options{})
+	sections := ids
+	if len(sections) == 0 {
+		sections = report.IDs()
 	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
+	for _, id := range sections {
+		if skipped(sectionAnalyses[id]) {
+			continue
+		}
+		var err error
+		switch id {
+		case "table2":
+			evaluate()
+		case "table3":
+			data.TopHolders = d.TopHolders(res, 3)
+		case "fig3":
+			data.Timeline, err = d.LoadTimeline()
+		case "hijackers":
+			ov := d.HijackerAnalysis(res)
+			data.Hijackers = &ov
+			data.TopOriginators = d.TopOriginators(res, 5)
+			data.TopFacilitators = d.TopFacilitators(res, 3)
+		case "abuse":
+			data.Abuse = d.AnalyzeAbuse(res)
+		case "baseline":
+			cmp := CompareBaseline(d.BaselineInfer(), res)
+			data.Baseline = &cmp
+		case "legacy":
+			infs := d.InferLegacy(Options{})
+			sum := SummarizeLegacy(infs)
+			data.Legacy = &sum
+			if !skipped("evaluation") {
+				evaluate()
+				var extra []Prefix
+				for _, inf := range infs {
+					if inf.Verdict == LegacyLeased {
+						extra = append(extra, inf.Prefix)
+					}
+				}
+				data.LegacyEvaluation = EvaluateAugmented(data.Reference, res, extra)
+			}
+		case "geo":
+			data.Geo = d.AnalyzeGeo(res)
+		case "market":
+			var snaps []MarketSnapshot
+			if snaps, err = d.LoadMarket(); err == nil {
+				data.Market = d.AnalyzeMarket(snaps, Options{})
+			}
+		case "relinfer":
+			var g *asrel.Graph
+			var agreement float64
+			if g, agreement, err = d.InferRelationships(); err == nil {
+				data.Relationships = &report.Relationships{
+					FileEdges: d.Rel.NumEdges(), InferredEdges: g.NumEdges(),
+					Agreement: agreement, Result: d.InferWithRelationships(g, Options{}),
+				}
+			}
+		case "ablations":
+			for _, a := range ablations {
+				data.Ablations = append(data.Ablations, report.Ablation{Name: a.name, Result: d.Infer(a.opts)})
+			}
+		}
+		if err != nil {
+			return fmt.Errorf("report section %s: %w", id, err)
+		}
 	}
-	werr := report.Markdown(f, data)
-	if cerr := f.Close(); werr == nil {
-		werr = cerr
-	}
-	return werr
+	return report.Markdown(w, data, ids...)
+}
+
+// sectionAnalyses names the analysis (as LoadSummary.SkippedAnalyses
+// spells it) that a report section cannot do without.
+var sectionAnalyses = map[string]string{
+	"table2": "evaluation",
+	"fig3":   "timeline",
+	"abuse":  "abuse-correlation",
+	"geo":    "geolocation",
+	"market": "market-dynamics",
+}
+
+// ablations are the design choices the report's ablation section
+// removes, one inference each.
+var ablations = []struct {
+	name string
+	opts Options
+}{
+	{"exact-only root lookup", Options{RootLookupExactOnly: true}},
+	{"no as2org sibling expansion", Options{DisableSiblingExpansion: true}},
+	{"maxlen 32 (keep hyper-specifics)", Options{MaxPrefixLen: 32}},
+	{"min visibility 2", Options{MinVisibility: 2}},
 }
 
 // CompareBaseline contrasts the heuristic with the routing-aware result.

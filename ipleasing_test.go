@@ -1,7 +1,6 @@
 package ipleasing
 
 import (
-	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -164,16 +163,12 @@ func TestExtensionsFacade(t *testing.T) {
 	}
 
 	// Full Markdown report.
-	out := filepath.Join(dir, "report.md")
-	if err := ds.WriteReport(out, res); err != nil {
+	var md strings.Builder
+	if err := ds.WriteReport(&md, res); err != nil {
 		t.Fatal(err)
 	}
-	b, err := os.ReadFile(out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{"## Table 1", "## Table 3", "## §8 extensions", "Market dynamics"} {
-		if !strings.Contains(string(b), want) {
+	for _, want := range []string{"## Table 1", "## Table 3", "## §8 — market dynamics"} {
+		if !strings.Contains(md.String(), want) {
 			t.Errorf("report missing %q", want)
 		}
 	}

@@ -2,6 +2,7 @@ package ipleasing
 
 import (
 	"bytes"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -108,16 +109,44 @@ func TestLenientLoadDegradesGracefully(t *testing.T) {
 	if g := ds.AnalyzeGeo(res); g != nil {
 		t.Error("AnalyzeGeo returned a report without a geo panel")
 	}
-	reportPath := filepath.Join(t.TempDir(), "report.md")
-	if err := ds.WriteReport(reportPath, res); err != nil {
+	var md strings.Builder
+	if err := ds.WriteReport(&md, res); err != nil {
 		t.Fatalf("WriteReport on degraded dataset: %v", err)
 	}
-	md, err := os.ReadFile(reportPath)
-	if err != nil {
+	if !strings.Contains(md.String(), "Degraded dataset") {
+		t.Error("degraded report lacks the skipped-analyses banner")
+	}
+	if !strings.Contains(md.String(), "## Table 1") {
+		t.Error("degraded report lacks Table 1")
+	}
+	for _, skipped := range []string{"## Table 2", "## Figure 3", "## §6.4", "## §8 — geolocation", "## §8 — market"} {
+		if strings.Contains(md.String(), skipped) {
+			t.Errorf("degraded report renders the skipped section %q", skipped)
+		}
+	}
+}
+
+// TestWriteReportFailsOnDamagedTimeline: a timeline directory that is
+// present but unreadable fails the report. Only an analysis the load
+// summary lists as skipped may drop out of it silently.
+func TestWriteReportFailsOnDamagedTimeline(t *testing.T) {
+	dir := writeWorld(t, 45)
+	damaged := filepath.Join(dir, synth.DirTimeline, "prefix.txt")
+	if err := os.WriteFile(damaged, []byte("not a prefix\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(string(md), "Degraded dataset") {
-		t.Error("degraded report lacks the skipped-analyses banner")
+	ds, err := LoadDataset(dir)
+	if err != nil {
+		t.Fatalf("LoadDataset: %v", err)
+	}
+	res := ds.Infer(Options{})
+	for _, ids := range [][]string{nil, {"fig3"}} {
+		if err := ds.WriteReport(io.Discard, res, ids...); err == nil {
+			t.Errorf("WriteReport(%q) succeeded over a damaged timeline", ids)
+		}
+	}
+	if err := ds.WriteReport(io.Discard, res, "table1"); err != nil {
+		t.Errorf("WriteReport(table1) needs no timeline, failed: %v", err)
 	}
 }
 
