@@ -74,7 +74,7 @@ var suites = []suite{
 		// allocates ~2.6MB/op, and a 3-iteration run finishes before GC
 		// pressure builds, understating the sustained cost by ~40%.
 		runs: []run{
-			{".", []string{"BenchmarkTable1", "BenchmarkLoadDataset", "BenchmarkFullReload", "BenchmarkServingReload", "BenchmarkDeltaReload", "BenchmarkInferBuild"}, "1s", 3},
+			{".", []string{"BenchmarkTable1", "BenchmarkWHOISLoad", "BenchmarkLoadDataset", "BenchmarkFullReload", "BenchmarkServingReload", "BenchmarkDeltaReload", "BenchmarkInferBuild"}, "1s", 3},
 			{"./internal/core", []string{"BenchmarkInferRegion"}, "1s", 3},
 		},
 		gates: []gate{

@@ -38,7 +38,7 @@ Parent:       NET-198-51-100-0-1
 `
 
 func TestParse(t *testing.T) {
-	db, err := Parse(strings.NewReader(sample))
+	db, err := Parse([]byte(sample))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +69,7 @@ func TestParse(t *testing.T) {
 }
 
 func TestParseASNumberFromHandle(t *testing.T) {
-	db, err := Parse(strings.NewReader("ASHandle: AS65001\nASName: X\n"))
+	db, err := Parse([]byte("ASHandle: AS65001\nASName: X\n"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,14 +88,14 @@ func TestParseErrors(t *testing.T) {
 		"ASHandle: ASFOO\n",                                     // handle not numeric, no ASNumber
 	}
 	for _, c := range cases {
-		if _, err := Parse(strings.NewReader(c)); err == nil {
+		if _, err := Parse([]byte(c)); err == nil {
 			t.Errorf("Parse(%q) succeeded, want error", c)
 		}
 	}
 }
 
 func TestUnknownClassSkipped(t *testing.T) {
-	db, err := Parse(strings.NewReader("POCHandle: P-1\nName: Somebody\n\nOrgID: O1\nOrgName: X\n"))
+	db, err := Parse([]byte("POCHandle: P-1\nName: Somebody\n\nOrgID: O1\nOrgName: X\n"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +105,7 @@ func TestUnknownClassSkipped(t *testing.T) {
 }
 
 func TestWriteRoundTrip(t *testing.T) {
-	db, err := Parse(strings.NewReader(sample))
+	db, err := Parse([]byte(sample))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +113,7 @@ func TestWriteRoundTrip(t *testing.T) {
 	if err := Write(&buf, db); err != nil {
 		t.Fatal(err)
 	}
-	back, err := Parse(&buf)
+	back, err := Parse(buf.Bytes())
 	if err != nil {
 		t.Fatalf("re-parse: %v\n%s", err, buf.String())
 	}
@@ -141,7 +141,7 @@ func BenchmarkParse(b *testing.B) {
 	data := strings.Repeat(sample, 200)
 	b.SetBytes(int64(len(data)))
 	for i := 0; i < b.N; i++ {
-		if _, err := Parse(strings.NewReader(data)); err != nil {
+		if _, err := Parse([]byte(data)); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -2,7 +2,6 @@ package arinwhois
 
 import (
 	"bytes"
-	"strings"
 	"testing"
 
 	"ipleasing/internal/diag"
@@ -54,11 +53,11 @@ func FuzzParse(f *testing.F) {
 	f.Add("NetHandle: NET-198-51-100-0-1\nNetRange: 198.51.100.0 - 198.51.100.255\n")
 	f.Add("")
 	f.Fuzz(func(t *testing.T, s string) {
-		db, err := Parse(strings.NewReader(s))
+		db, err := Parse([]byte(s))
 		// Lenient parsing with the breaker disabled must never be
 		// stricter than fail-fast parsing, and must never error itself.
 		c := diag.NewCollector("arin", diag.LoadOptions{MaxErrorRate: -1})
-		ldb, lerr := ParseWith(strings.NewReader(s), c)
+		ldb, lerr := ParseWith([]byte(s), c)
 		if lerr != nil {
 			t.Fatalf("lenient parse failed: %v", lerr)
 		}
@@ -77,7 +76,7 @@ func FuzzParse(f *testing.F) {
 		if werr := Write(&buf, db); werr != nil {
 			t.Fatalf("write of parsed database: %v", werr)
 		}
-		back, perr := Parse(&buf)
+		back, perr := Parse(buf.Bytes())
 		if perr != nil {
 			t.Fatalf("re-parse of written database: %v", perr)
 		}

@@ -2,7 +2,6 @@ package lacnicwhois
 
 import (
 	"bytes"
-	"strings"
 	"testing"
 
 	"ipleasing/internal/diag"
@@ -41,11 +40,11 @@ func FuzzParse(f *testing.F) {
 	f.Add("inetnum: 203.0.113.0/24\nstatus: allocated\n")
 	f.Add("")
 	f.Fuzz(func(t *testing.T, s string) {
-		db, err := Parse(strings.NewReader(s))
+		db, err := Parse([]byte(s))
 		// Lenient parsing with the breaker disabled must never be
 		// stricter than fail-fast parsing, and must never error itself.
 		c := diag.NewCollector("lacnic", diag.LoadOptions{MaxErrorRate: -1})
-		ldb, lerr := ParseWith(strings.NewReader(s), c)
+		ldb, lerr := ParseWith([]byte(s), c)
 		if lerr != nil {
 			t.Fatalf("lenient parse failed: %v", lerr)
 		}
@@ -64,7 +63,7 @@ func FuzzParse(f *testing.F) {
 		if werr := Write(&buf, db); werr != nil {
 			t.Fatalf("write of parsed database: %v", werr)
 		}
-		back, perr := Parse(&buf)
+		back, perr := Parse(buf.Bytes())
 		if perr != nil {
 			t.Fatalf("re-parse of written database: %v", perr)
 		}

@@ -49,93 +49,132 @@ type Database struct {
 	ASNs   []*ASN
 }
 
-// Parse decodes a LACNIC bulk-WHOIS dump.
-func Parse(r io.Reader) (*Database, error) {
-	return ParseWith(r, nil)
+// Parse decodes a LACNIC bulk-WHOIS dump held in memory.
+func Parse(data []byte) (*Database, error) {
+	return ParseWith(data, nil)
+}
+
+// The object classes and attributes Parse reads. The scanner checks every
+// other line but builds nothing from it.
+const (
+	classBlock = iota
+	classASN
+)
+
+const (
+	attrStatus = iota
+	attrOwner
+	attrOwnerID
+	attrCountry
+)
+
+var keep = rpsl.Keep{
+	Class: func(name []byte) int {
+		switch string(name) {
+		case "inetnum":
+			return classBlock
+		case "aut-num":
+			return classASN
+		}
+		return -1
+	},
+	Attr: func(name []byte) int {
+		switch string(name) {
+		case "status":
+			return attrStatus
+		case "owner":
+			return attrOwner
+		case "ownerid":
+			return attrOwnerID
+		case "country":
+			return attrCountry
+		}
+		return -1
+	},
 }
 
 // ParseWith is Parse threaded through a load-diagnostics collector. A nil
 // collector (or strict options) keeps Parse's fail-fast behavior; in
 // lenient mode malformed lines and records are skipped and accounted.
-func ParseWith(r io.Reader, c *diag.Collector) (*Database, error) {
-	rd := rpsl.NewReader(r)
+func ParseWith(data []byte, c *diag.Collector) (*Database, error) {
+	s := rpsl.NewScanner(data, keep)
 	if !c.Strict() {
-		rd.OnBadLine = func(line int, err error) error {
+		s.OnBadLine = func(line int, err error) error {
 			return c.Skip(line, -1, err)
 		}
 	}
-	db := &Database{}
-	var o rpsl.Object // reused across records; extracted strings are interned
+	var (
+		blocks rpsl.Slab[Block]
+		asns   rpsl.Slab[ASN]
+	)
 	for i := 0; ; i++ {
-		err := rd.NextInto(&o)
+		o, err := s.Next()
 		if err == io.EOF {
 			break
 		}
 		if err != nil {
 			return nil, fmt.Errorf("lacnicwhois: %w", err)
 		}
-		switch o.Class() {
-		case "inetnum":
-			b, err := blockFromObject(&o)
+		switch o.Class {
+		case classBlock:
+			b, err := blockFromRecord(s, o)
 			if err != nil {
 				if err := c.Skip(i, -1, fmt.Errorf("lacnicwhois: record %d: %w", i, err)); err != nil {
 					return nil, err
 				}
 				continue
 			}
-			db.Blocks = append(db.Blocks, b)
-		case "aut-num":
-			a, err := asnFromObject(&o)
+			*blocks.New() = b
+		case classASN:
+			a, err := asnFromRecord(s, o)
 			if err != nil {
 				if err := c.Skip(i, -1, fmt.Errorf("lacnicwhois: record %d: %w", i, err)); err != nil {
 					return nil, err
 				}
 				continue
 			}
-			db.ASNs = append(db.ASNs, a)
+			*asns.New() = a
 		}
 		c.Parsed()
 	}
-	return db, nil
+	return &Database{Blocks: blocks.All(), ASNs: asns.All()}, nil
 }
 
-func blockFromObject(o *rpsl.Object) (*Block, error) {
-	b := &Block{}
+func blockFromRecord(s *rpsl.Scanner, o *rpsl.Record) (Block, error) {
+	var b Block
 	var err error
-	b.Prefix, err = netutil.ParsePrefixLoose(o.Key())
-	if err != nil {
-		return nil, err
+	if b.Prefix, err = netutil.ParsePrefixBytes(o.Key()); err != nil {
+		// Host bits set, or input only the string parser reads.
+		if b.Prefix, err = netutil.ParsePrefixLoose(string(o.Key())); err != nil {
+			return Block{}, err
+		}
 	}
-	status, _ := o.Get("status")
-	b.Status = strings.ToLower(strings.TrimSpace(status))
+	// Interned first, so a status already lower case costs no copy.
+	b.Status = strings.ToLower(strings.TrimSpace(s.Intern(o.Value(attrStatus))))
 	switch b.Status {
 	case StatusAllocated, StatusAssigned, StatusReallocated, StatusReassigned:
 	case "":
-		return nil, fmt.Errorf("block %v: missing status", b.Prefix)
+		return Block{}, fmt.Errorf("block %v: missing status", b.Prefix)
 	default:
-		return nil, fmt.Errorf("block %v: unknown status %q", b.Prefix, b.Status)
+		return Block{}, fmt.Errorf("block %v: unknown status %q", b.Prefix, b.Status)
 	}
-	b.Owner, _ = o.Get("owner")
-	b.OwnerID, _ = o.Get("ownerid")
-	b.Country, _ = o.Get("country")
+	b.Owner = s.Intern(o.Value(attrOwner))
+	b.OwnerID = s.Intern(o.Value(attrOwnerID))
+	b.Country = s.Intern(o.Value(attrCountry))
 	if b.OwnerID == "" {
-		return nil, fmt.Errorf("block %v: missing ownerid", b.Prefix)
+		return Block{}, fmt.Errorf("block %v: missing ownerid", b.Prefix)
 	}
 	return b, nil
 }
 
-func asnFromObject(o *rpsl.Object) (*ASN, error) {
-	a := &ASN{}
-	key := strings.TrimPrefix(strings.ToUpper(o.Key()), "AS")
-	v, err := strconv.ParseUint(key, 10, 32)
+func asnFromRecord(s *rpsl.Scanner, o *rpsl.Record) (ASN, error) {
+	v, err := rpsl.ParseAutNum(o.Key())
 	if err != nil {
-		return nil, fmt.Errorf("aut-num %q: %v", o.Key(), err)
+		return ASN{}, fmt.Errorf("aut-num %q: %v", o.Key(), err)
 	}
-	a.Number = uint32(v)
-	a.Owner, _ = o.Get("owner")
-	a.OwnerID, _ = o.Get("ownerid")
+	a := ASN{Number: v, Owner: s.Intern(o.Value(attrOwner)), OwnerID: s.Intern(o.Value(attrOwnerID))}
 	if a.OwnerID == "" {
-		return nil, fmt.Errorf("aut-num %q: missing ownerid", o.Key())
+		return ASN{}, fmt.Errorf("aut-num %q: missing ownerid", o.Key())
 	}
 	return a, nil
 }

@@ -27,7 +27,7 @@ ownerid:     CR-RACS-LACNIC
 `
 
 func TestParse(t *testing.T) {
-	db, err := Parse(strings.NewReader(sample))
+	db, err := Parse([]byte(sample))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +49,7 @@ func TestParse(t *testing.T) {
 }
 
 func TestParseStatusCaseInsensitive(t *testing.T) {
-	db, err := Parse(strings.NewReader("inetnum: 10.0.0.0/8\nstatus: ALLOCATED\nownerid: X\n"))
+	db, err := Parse([]byte("inetnum: 10.0.0.0/8\nstatus: ALLOCATED\nownerid: X\n"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,14 +68,14 @@ func TestParseErrors(t *testing.T) {
 		"aut-num: AS65000\n",            // missing ownerid
 	}
 	for _, c := range cases {
-		if _, err := Parse(strings.NewReader(c)); err == nil {
+		if _, err := Parse([]byte(c)); err == nil {
 			t.Errorf("Parse(%q) succeeded, want error", c)
 		}
 	}
 }
 
 func TestWriteRoundTrip(t *testing.T) {
-	db, err := Parse(strings.NewReader(sample))
+	db, err := Parse([]byte(sample))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +83,7 @@ func TestWriteRoundTrip(t *testing.T) {
 	if err := Write(&buf, db); err != nil {
 		t.Fatal(err)
 	}
-	back, err := Parse(&buf)
+	back, err := Parse(buf.Bytes())
 	if err != nil {
 		t.Fatalf("re-parse: %v\n%s", err, buf.String())
 	}
@@ -106,7 +106,7 @@ func BenchmarkParse(b *testing.B) {
 	data := strings.Repeat(sample, 200)
 	b.SetBytes(int64(len(data)))
 	for i := 0; i < b.N; i++ {
-		if _, err := Parse(strings.NewReader(data)); err != nil {
+		if _, err := Parse([]byte(data)); err != nil {
 			b.Fatal(err)
 		}
 	}

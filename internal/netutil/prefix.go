@@ -368,6 +368,61 @@ func ParseRange(s string) (Range, error) {
 	return Range{First: first, Last: last}, nil
 }
 
+// ParseRangeBytes is ParseRange for a byte slice. A range of two plain
+// dotted quads around the dash, with ASCII blanks at most, is parsed in
+// place without allocating; anything else goes through ParseRange, so
+// the result and every error are ParseRange's own.
+func ParseRangeBytes(b []byte) (Range, error) {
+	if first, i, ok := parseAddrAt(b, skipSpace(b, 0)); ok {
+		if i = skipSpace(b, i); i < len(b) && b[i] == '-' {
+			if last, j, ok := parseAddrAt(b, skipSpace(b, i+1)); ok && skipSpace(b, j) == len(b) && first <= last {
+				return Range{First: first, Last: last}, nil
+			}
+		}
+	}
+	return ParseRange(string(b))
+}
+
+// parseAddrAt parses the dotted quad starting at b[i] with ParseAddr's
+// strictness (decimal octets up to 255, no leading zeros) and returns
+// the index after it; false when there is none.
+func parseAddrAt(b []byte, i int) (Addr, int, bool) {
+	var a uint32
+	for k := 0; k < 4; k++ {
+		if k > 0 {
+			if i >= len(b) || b[i] != '.' {
+				return 0, i, false
+			}
+			i++
+		}
+		if i >= len(b) || b[i]-'0' > 9 {
+			return 0, i, false
+		}
+		v := uint32(b[i] - '0')
+		i++
+		// A leading zero ends the octet; a digit after it fails on the
+		// next separator check.
+		for n := 1; v != 0 && n < 3 && i < len(b) && b[i]-'0' <= 9; n++ {
+			v = v*10 + uint32(b[i]-'0')
+			i++
+		}
+		if v > 255 {
+			return 0, i, false
+		}
+		a = a<<8 | v
+	}
+	return Addr(a), i, true
+}
+
+// skipSpace returns the index of the first byte at or after i that is
+// not ASCII white space as strings.TrimSpace sees it.
+func skipSpace(b []byte, i int) int {
+	for i < len(b) && (b[i] == ' ' || '\t' <= b[i] && b[i] <= '\r') {
+		i++
+	}
+	return i
+}
+
 // String returns "a.b.c.d - e.f.g.h" in the RPSL inetnum style.
 func (r Range) String() string {
 	return r.First.String() + " - " + r.Last.String()

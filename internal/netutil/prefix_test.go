@@ -437,3 +437,22 @@ func BenchmarkParsePrefix(b *testing.B) {
 		_, _ = ParsePrefix("203.0.113.0/24")
 	}
 }
+
+// FuzzParseRangeBytes holds the in-place range parse to ParseRange:
+// the same range, or the same error.
+func FuzzParseRangeBytes(f *testing.F) {
+	for _, s := range []string{
+		"192.0.2.0 - 192.0.2.255", "10.0.0.0-10.0.0.0", " 1.2.3.4\t-\t1.2.3.5 ",
+		"1.2.3.4 - 1.2.3.1", "1.2.3.04 - 1.2.3.5", "256.0.0.0 - 256.0.0.1",
+		"1.2.3.4", "1.2.3.4 -", " 1.2.3.4 - 1.2.3.5 ", "1.2.3.4.5 - 1.2.3.6", "0.0.0.0 - 255.255.255.255",
+	} {
+		f.Add([]byte(s))
+	}
+	f.Fuzz(func(t *testing.T, b []byte) {
+		got, gerr := ParseRangeBytes(b)
+		want, werr := ParseRange(string(b))
+		if got != want || fmt.Sprint(gerr) != fmt.Sprint(werr) {
+			t.Fatalf("ParseRangeBytes(%q) = %v, %v; ParseRange = %v, %v", b, got, gerr, want, werr)
+		}
+	})
+}

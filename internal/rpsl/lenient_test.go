@@ -22,21 +22,18 @@ netname:        GOOD-TWO
 
 func TestOnBadLineSkips(t *testing.T) {
 	var bad []int
-	rd := NewReader(strings.NewReader(messyDump))
-	rd.OnBadLine = func(line int, err error) error {
+	s, n := keepAll([]byte(messyDump))
+	s.OnBadLine = func(line int, err error) error {
 		bad = append(bad, line)
 		return nil
 	}
+	objs, err := objects(s, n)
+	if err != nil {
+		t.Fatalf("Next: %v", err)
+	}
 	var keys []string
-	for {
-		o, err := rd.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			t.Fatalf("Next: %v", err)
-		}
-		keys = append(keys, o.Key())
+	for _, o := range objs {
+		keys = append(keys, o.Attributes[0].Value)
 	}
 	if len(keys) != 2 || keys[0] != "192.0.2.0 - 192.0.2.255" || keys[1] != "198.51.100.0 - 198.51.100.255" {
 		t.Fatalf("keys = %v", keys)
@@ -54,33 +51,33 @@ func TestOnBadLineAllSkippedObjectDoesNotEOF(t *testing.T) {
 	// An object whose every line is garbage must not terminate the stream:
 	// the reader has to scan on to the following object.
 	dump := "@@@@\n!!!!\n\ninetnum: 192.0.2.0 - 192.0.2.255\n"
-	rd := NewReader(strings.NewReader(dump))
-	rd.OnBadLine = func(int, error) error { return nil }
-	o, err := rd.Next()
+	s, _ := keepAll([]byte(dump))
+	s.OnBadLine = func(int, error) error { return nil }
+	o, err := s.Next()
 	if err != nil {
 		t.Fatalf("Next: %v", err)
 	}
-	if o.Key() != "192.0.2.0 - 192.0.2.255" {
+	if string(o.Key()) != "192.0.2.0 - 192.0.2.255" {
 		t.Fatalf("key = %q", o.Key())
 	}
-	if _, err := rd.Next(); err != io.EOF {
+	if _, err := s.Next(); err != io.EOF {
 		t.Fatalf("want EOF, got %v", err)
 	}
 }
 
 func TestOnBadLineAbort(t *testing.T) {
 	sentinel := errors.New("too much")
-	rd := NewReader(strings.NewReader(messyDump))
-	rd.OnBadLine = func(int, error) error { return sentinel }
-	_, err := rd.Next()
+	s, _ := keepAll([]byte(messyDump))
+	s.OnBadLine = func(int, error) error { return sentinel }
+	_, err := s.Next()
 	if err != sentinel {
 		t.Fatalf("want sentinel, got %v", err)
 	}
 }
 
 func TestStrictStillFailsFast(t *testing.T) {
-	rd := NewReader(strings.NewReader(messyDump))
-	_, err := rd.Next()
+	s, _ := keepAll([]byte(messyDump))
+	_, err := s.Next()
 	if err == nil || !strings.Contains(err.Error(), "line 3") {
 		t.Fatalf("strict err = %v", err)
 	}

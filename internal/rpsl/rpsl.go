@@ -1,18 +1,38 @@
-// Package rpsl reads and writes objects in the Routing Policy Specification
-// Language style used by the RIPE, APNIC, and AFRINIC WHOIS bulk database
-// dumps (RFC 2622 syntax as deployed by the RIRs).
+// Package rpsl scans and writes the blank-line-separated "attribute:
+// value" objects of the RIR WHOIS bulk dumps (RFC 2622 syntax as the
+// RIRs deploy it). All three dialects sit on it: RPSL proper (RIPE,
+// APNIC, AFRINIC), ARIN's bulk WHOIS and LACNIC's dump share this
+// surface grammar and differ only in their vocabularies.
 //
-// An RPSL database is a stream of objects separated by blank lines. Each
-// object is a sequence of "attribute: value" lines; a line beginning with
-// whitespace or '+' continues the previous attribute's value, and '#'
-// introduces a comment that runs to end of line. The first attribute of an
-// object names its class (inetnum, aut-num, organisation, mntner, ...).
+// An object is a sequence of "attribute: value" lines ended by a blank
+// line; a line beginning with whitespace or '+' continues the previous
+// attribute's value, and '#' starts a comment that runs to the end of
+// the line. The first attribute of an object names its class (inetnum,
+// aut-num, organisation, mntner, NetHandle, ...).
+//
+// The scan contract:
+//
+//   - One read per dump. A Scanner works in place on the whole dump
+//     held as a []byte, splitting lines with bytes.IndexByte and
+//     copying nothing.
+//   - A keep-set per dialect. Each loader declares, in a Keep, the
+//     classes and attributes it reads. Every line of every object is
+//     still checked, with the same errors and line numbers, but values
+//     of anything else are never built.
+//   - Interning only for repeating values. Loaders intern status and
+//     country codes, maintainer and organisation handles through
+//     Scanner.Intern and copy unique values, such as names, once;
+//     ranges and numbers are parsed from the bytes.
+//   - No string aliases the buffer. Every string a loader keeps is a
+//     copy, so the dump is garbage as soon as its parse returns.
+//   - Records in slabs. Loaders allocate their records through Slab,
+//     one allocation per chunk of records rather than per record.
+//
+// Object and Writer render objects back into dump form for the
+// dialects' writers.
 package rpsl
 
 import (
-	"bufio"
-	"bytes"
-	"fmt"
 	"io"
 	"strings"
 )
@@ -24,49 +44,10 @@ type Attribute struct {
 	Value string // value with comments stripped and continuations joined
 }
 
-// Object is one RPSL object: an ordered list of attributes. The first
-// attribute determines the object's class and primary key.
+// Object is one object to write: an ordered list of attributes. The
+// first attribute determines the object's class and primary key.
 type Object struct {
 	Attributes []Attribute
-}
-
-// Class returns the name of the first attribute — the object class —
-// or "" for an empty object.
-func (o *Object) Class() string {
-	if len(o.Attributes) == 0 {
-		return ""
-	}
-	return o.Attributes[0].Name
-}
-
-// Key returns the value of the first attribute — the object's primary key.
-func (o *Object) Key() string {
-	if len(o.Attributes) == 0 {
-		return ""
-	}
-	return o.Attributes[0].Value
-}
-
-// Get returns the value of the first attribute named name (lower case)
-// and whether it exists.
-func (o *Object) Get(name string) (string, bool) {
-	for _, a := range o.Attributes {
-		if a.Name == name {
-			return a.Value, true
-		}
-	}
-	return "", false
-}
-
-// GetAll returns the values of every attribute named name, in order.
-func (o *Object) GetAll(name string) []string {
-	var out []string
-	for _, a := range o.Attributes {
-		if a.Name == name {
-			out = append(out, a.Value)
-		}
-	}
-	return out
 }
 
 // Add appends an attribute.
@@ -92,201 +73,6 @@ func (o *Object) String() string {
 		b.WriteByte('\n')
 	}
 	return b.String()
-}
-
-// Reader decodes a stream of RPSL objects.
-//
-// The reader works on the scanner's byte view and interns attribute names
-// and short values: RIR bulk dumps repeat the same handful of names
-// (inetnum, netname, mnt-by, ...) and many values (status codes, country
-// codes, maintainer handles) millions of times, so interning turns the
-// dominant per-line string allocation into a map hit.
-type Reader struct {
-	s       *bufio.Scanner
-	lineNum int
-	err     error
-	strs    map[string]string
-
-	// OnBadLine, when non-nil, is consulted for each malformed attribute
-	// line with its 1-based line number and the parse error, instead of
-	// aborting the parse. Returning nil skips the line and continues the
-	// current object; returning an error aborts with that error. A nil
-	// OnBadLine keeps the strict contract: the first malformed line fails
-	// NextInto. Scanner-level errors (oversized lines, read failures)
-	// always abort regardless of OnBadLine.
-	OnBadLine func(lineNum int, err error) error
-}
-
-// NewReader returns a Reader over r. Lines longer than 1 MiB are an error.
-func NewReader(r io.Reader) *Reader {
-	s := bufio.NewScanner(r)
-	s.Buffer(make([]byte, 64*1024), 1<<20)
-	return &Reader{s: s, strs: make(map[string]string)}
-}
-
-func (r *Reader) nextLine() ([]byte, bool) {
-	if r.s.Scan() {
-		r.lineNum++
-		return r.s.Bytes(), true
-	}
-	r.err = r.s.Err()
-	return nil, false
-}
-
-// intern returns b as a string, reusing a previous allocation for values
-// short enough to plausibly repeat (the map lookup on a byte slice does
-// not allocate).
-func (r *Reader) intern(b []byte) string {
-	if len(b) == 0 {
-		return ""
-	}
-	if len(b) > 64 {
-		return string(b) // long values never repeat; skip the always-miss lookup
-	}
-	if s, ok := r.strs[string(b)]; ok {
-		return s
-	}
-	s := string(b)
-	r.strs[s] = s
-	return s
-}
-
-// stripComment removes a '#' comment. RPSL values do not quote '#', so a
-// bare IndexByte is correct for RIR dump data.
-func stripComment(b []byte) []byte {
-	if i := bytes.IndexByte(b, '#'); i >= 0 {
-		b = b[:i]
-	}
-	return bytes.TrimRight(b, " \t")
-}
-
-// Next returns the next object in the stream, or io.EOF when exhausted.
-// Whole-line comments ('%' server remarks and '#' comments) and blank lines
-// between objects are skipped. Malformed attribute lines inside an object
-// produce an error identifying the line number.
-func (r *Reader) Next() (*Object, error) {
-	// A typical RIR dump object carries well under a dozen attributes;
-	// pre-sizing skips the first few append regrowths on every object.
-	obj := &Object{Attributes: make([]Attribute, 0, 8)}
-	if err := r.NextInto(obj); err != nil {
-		return nil, err
-	}
-	return obj, nil
-}
-
-// NextInto decodes the next object into obj, reusing its attribute slice.
-// Streaming consumers that convert each object before advancing use this
-// to avoid the per-object allocations of Next; attribute names and values
-// are interned strings, safe to retain across calls.
-func (r *Reader) NextInto(obj *Object) error {
-	for {
-		obj.Attributes = obj.Attributes[:0]
-		// Skip blanks and comment lines to the start of an object.
-		var line []byte
-		var ok bool
-		for {
-			line, ok = r.nextLine()
-			if !ok {
-				if r.err != nil {
-					return r.err
-				}
-				return io.EOF
-			}
-			t := bytes.TrimSpace(line)
-			if len(t) == 0 || t[0] == '#' || t[0] == '%' {
-				continue
-			}
-			break
-		}
-
-		atEOF := false
-		for {
-			if len(bytes.TrimSpace(line)) == 0 {
-				break // end of object
-			}
-			if err := r.attrLine(obj, line); err != nil {
-				if r.OnBadLine == nil {
-					return err
-				}
-				if err := r.OnBadLine(r.lineNum, err); err != nil {
-					return err
-				}
-				// Bad line skipped; the rest of the object still parses.
-			}
-			line, ok = r.nextLine()
-			if !ok {
-				if r.err != nil {
-					return r.err
-				}
-				atEOF = true
-				break // EOF terminates the last object
-			}
-		}
-		if len(obj.Attributes) > 0 {
-			return nil
-		}
-		if atEOF {
-			return io.EOF
-		}
-		// Every line of this object was skipped (lenient recovery): scan
-		// on for the next object rather than reporting a premature EOF.
-	}
-}
-
-// attrLine parses one non-blank line of the current object into obj.
-func (r *Reader) attrLine(obj *Object, line []byte) error {
-	switch {
-	case line[0] == '#' || line[0] == '%':
-		// comment line inside an object: skip
-	case line[0] == ' ' || line[0] == '\t' || line[0] == '+':
-		// Continuation of the previous attribute.
-		if len(obj.Attributes) == 0 {
-			return fmt.Errorf("rpsl: line %d: continuation with no attribute", r.lineNum)
-		}
-		cont := bytes.TrimSpace(stripComment(line[1:]))
-		last := &obj.Attributes[len(obj.Attributes)-1]
-		if len(cont) != 0 {
-			if last.Value != "" {
-				last.Value += " " + string(cont)
-			} else {
-				last.Value = r.intern(cont)
-			}
-		}
-	default:
-		colon := bytes.IndexByte(line, ':')
-		if colon <= 0 {
-			return fmt.Errorf("rpsl: line %d: malformed attribute line %q", r.lineNum, line)
-		}
-		name := bytes.TrimSpace(line[:colon])
-		if bytes.ContainsAny(name, " \t") {
-			return fmt.Errorf("rpsl: line %d: malformed attribute name %q", r.lineNum, name)
-		}
-		for _, c := range name {
-			if 'A' <= c && c <= 'Z' {
-				name = bytes.ToLower(name)
-				break
-			}
-		}
-		value := bytes.TrimSpace(stripComment(line[colon+1:]))
-		obj.Attributes = append(obj.Attributes, Attribute{Name: r.intern(name), Value: r.intern(value)})
-	}
-	return nil
-}
-
-// ReadAll decodes every object in r.
-func ReadAll(r io.Reader) ([]*Object, error) {
-	rd := NewReader(r)
-	var out []*Object
-	for {
-		o, err := rd.Next()
-		if err == io.EOF {
-			return out, nil
-		}
-		if err != nil {
-			return out, err
-		}
-		out = append(out, o)
-	}
 }
 
 // Writer encodes RPSL objects separated by blank lines.

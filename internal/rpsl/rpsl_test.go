@@ -39,105 +39,166 @@ org-name:       GCI Network
 source:         RIPE
 `
 
+// names numbers every class and attribute name it is asked about, so a
+// Keep built on it keeps everything.
+type names []string
+
+func (n *names) id(name []byte) int {
+	for i, v := range *n {
+		if v == string(name) {
+			return i
+		}
+	}
+	*n = append(*n, string(name))
+	return len(*n) - 1
+}
+
+// keepAll returns a Scanner over data that keeps every class and
+// attribute, and the names its ids stand for.
+func keepAll(data []byte) (*Scanner, *names) {
+	n := &names{}
+	return NewScanner(data, Keep{Class: n.id, Attr: n.id}), n
+}
+
+// objects drains s into Objects named by n.
+func objects(s *Scanner, n *names) ([]*Object, error) {
+	var out []*Object
+	for {
+		rec, err := s.Next()
+		if err == io.EOF {
+			return out, nil
+		}
+		if err != nil {
+			return out, err
+		}
+		o := &Object{}
+		for _, f := range rec.Fields {
+			o.Attributes = append(o.Attributes, Attribute{Name: (*n)[f.Attr], Value: string(f.Value)})
+		}
+		out = append(out, o)
+	}
+}
+
+// readAll scans every object of data, keeping every attribute.
+func readAll(data []byte) ([]*Object, error) {
+	return objects(keepAll(data))
+}
+
+// get returns the first value of the attribute named name.
+func get(o *Object, name string) (string, bool) {
+	for _, a := range o.Attributes {
+		if a.Name == name {
+			return a.Value, true
+		}
+	}
+	return "", false
+}
+
 func TestReadAll(t *testing.T) {
-	objs, err := ReadAll(strings.NewReader(sampleDB))
+	objs, err := readAll([]byte(sampleDB))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(objs) != 4 {
 		t.Fatalf("got %d objects, want 4", len(objs))
 	}
-	if objs[0].Class() != "inetnum" || objs[0].Key() != "213.210.0.0 - 213.210.63.255" {
-		t.Fatalf("obj0 = %q %q", objs[0].Class(), objs[0].Key())
+	if objs[0].Attributes[0] != (Attribute{"inetnum", "213.210.0.0 - 213.210.63.255"}) {
+		t.Fatalf("obj0 = %q", objs[0].Attributes[0])
 	}
-	if v, _ := objs[0].Get("status"); v != "ALLOCATED PA" {
+	if v, _ := get(objs[0], "status"); v != "ALLOCATED PA" {
 		t.Fatalf("status = %q", v)
 	}
 	// Trailing comment stripped, continuation joined.
-	if v, _ := objs[1].Get("descr"); v != "Leased out block second description line" {
+	if v, _ := get(objs[1], "descr"); v != "Leased out block second description line" {
 		t.Fatalf("descr = %q", v)
 	}
 	// Repeated attributes preserved in order.
-	mnts := objs[1].GetAll("mnt-by")
+	var mnts []string
+	for _, a := range objs[1].Attributes {
+		if a.Name == "mnt-by" {
+			mnts = append(mnts, a.Value)
+		}
+	}
 	if len(mnts) != 2 || mnts[0] != "IPXO-MNT" || mnts[1] != "MNT-GCICOM" {
 		t.Fatalf("mnt-by = %v", mnts)
 	}
 	// '+' continuation.
-	if v, _ := objs[3].Get("org-name"); v != "GCI Network (continuation with plus)" {
+	if v, _ := get(objs[3], "org-name"); v != "GCI Network (continuation with plus)" {
 		t.Fatalf("org-name = %q", v)
 	}
-	if objs[2].Class() != "aut-num" || objs[2].Key() != "AS8851" {
-		t.Fatalf("obj2 = %q %q", objs[2].Class(), objs[2].Key())
+	if objs[2].Attributes[0] != (Attribute{"aut-num", "AS8851"}) {
+		t.Fatalf("obj2 = %q", objs[2].Attributes[0])
 	}
 }
 
 func TestGetMissing(t *testing.T) {
+	var r Record
+	if _, ok := r.Get(0); ok {
+		t.Fatal("Get on empty record")
+	}
+	if r.Key() != nil {
+		t.Fatal("empty record key")
+	}
 	o := &Object{}
-	if _, ok := o.Get("anything"); ok {
-		t.Fatal("Get on empty object")
-	}
-	if o.Class() != "" || o.Key() != "" {
-		t.Fatal("empty object class/key")
-	}
 	o.Add("MNT-by", "X") // name should be lower-cased
-	if v, ok := o.Get("mnt-by"); !ok || v != "X" {
+	if v, ok := get(o, "mnt-by"); !ok || v != "X" {
 		t.Fatal("Add did not lower-case name")
 	}
 }
 
 func TestEmptyInput(t *testing.T) {
-	objs, err := ReadAll(strings.NewReader(""))
+	objs, err := readAll([]byte(""))
 	if err != nil || len(objs) != 0 {
 		t.Fatalf("empty input: %v %v", objs, err)
 	}
-	objs, err = ReadAll(strings.NewReader("\n\n% only comments\n# more\n\n"))
+	objs, err = readAll([]byte("\n\n% only comments\n# more\n\n"))
 	if err != nil || len(objs) != 0 {
 		t.Fatalf("comment-only input: %v %v", objs, err)
 	}
 }
 
 func TestNoTrailingNewline(t *testing.T) {
-	objs, err := ReadAll(strings.NewReader("inetnum: 10.0.0.0 - 10.0.0.255\nstatus: ASSIGNED PA"))
+	objs, err := readAll([]byte("inetnum: 10.0.0.0 - 10.0.0.255\nstatus: ASSIGNED PA"))
 	if err != nil || len(objs) != 1 {
 		t.Fatalf("objs=%v err=%v", objs, err)
 	}
-	if v, _ := objs[0].Get("status"); v != "ASSIGNED PA" {
+	if v, _ := get(objs[0], "status"); v != "ASSIGNED PA" {
 		t.Fatal("lost last attribute without trailing newline")
 	}
 }
 
 func TestMalformed(t *testing.T) {
 	// Continuation before any attribute.
-	if _, err := ReadAll(strings.NewReader("  dangling continuation\n")); err == nil {
+	if _, err := readAll([]byte("  dangling continuation\n")); err == nil {
 		t.Fatal("dangling continuation accepted")
 	}
 	// Attribute line with no colon.
-	if _, err := ReadAll(strings.NewReader("inetnum: 10.0.0.0 - 10.0.0.255\nnocolonhere\n")); err == nil {
+	if _, err := readAll([]byte("inetnum: 10.0.0.0 - 10.0.0.255\nnocolonhere\n")); err == nil {
 		t.Fatal("missing colon accepted")
 	}
 	// Colon at position 0.
-	if _, err := ReadAll(strings.NewReader(":empty name\n")); err == nil {
+	if _, err := readAll([]byte(":empty name\n")); err == nil {
 		t.Fatal("empty attribute name accepted")
 	}
 	// Space inside attribute name.
-	if _, err := ReadAll(strings.NewReader("bad name: value\n")); err == nil {
+	if _, err := readAll([]byte("bad name: value\n")); err == nil {
 		t.Fatal("attribute name with space accepted")
 	}
 }
 
 func TestCommentInsideObject(t *testing.T) {
 	in := "inetnum: 10.0.0.0 - 10.0.0.255\n# interior comment\nstatus: ASSIGNED PA\n"
-	objs, err := ReadAll(strings.NewReader(in))
+	objs, err := readAll([]byte(in))
 	if err != nil || len(objs) != 1 {
 		t.Fatalf("objs=%v err=%v", objs, err)
 	}
-	if v, _ := objs[0].Get("status"); v != "ASSIGNED PA" {
+	if v, _ := get(objs[0], "status"); v != "ASSIGNED PA" {
 		t.Fatal("comment inside object broke parsing")
 	}
 }
 
 func TestWriterRoundTrip(t *testing.T) {
-	objs, err := ReadAll(strings.NewReader(sampleDB))
+	objs, err := readAll([]byte(sampleDB))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +209,7 @@ func TestWriterRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	back, err := ReadAll(&buf)
+	back, err := readAll(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +263,7 @@ func TestRoundTripQuick(t *testing.T) {
 		if err := NewWriter(&buf).Write(o); err != nil {
 			return false
 		}
-		back, err := ReadAll(&buf)
+		back, err := readAll(buf.Bytes())
 		if err != nil || len(back) != 1 {
 			return false
 		}
@@ -224,10 +285,10 @@ func TestRoundTripQuick(t *testing.T) {
 }
 
 func TestReaderSequential(t *testing.T) {
-	rd := NewReader(strings.NewReader(sampleDB))
+	s := NewScanner([]byte(sampleDB), Keep{Class: func([]byte) int { return 0 }, Attr: func([]byte) int { return -1 }})
 	count := 0
 	for {
-		_, err := rd.Next()
+		_, err := s.Next()
 		if err == io.EOF {
 			break
 		}
@@ -240,18 +301,40 @@ func TestReaderSequential(t *testing.T) {
 		t.Fatalf("sequential count = %d", count)
 	}
 	// Next after EOF keeps returning EOF.
-	if _, err := rd.Next(); err != io.EOF {
+	if _, err := s.Next(); err != io.EOF {
 		t.Fatalf("post-EOF = %v", err)
 	}
 }
 
-func BenchmarkReadAll(b *testing.B) {
-	data := strings.Repeat(sampleDB, 100)
+func BenchmarkScan(b *testing.B) {
+	data := []byte(strings.Repeat(sampleDB, 100))
+	keep := Keep{
+		Class: func(name []byte) int {
+			if string(name) == "inetnum" {
+				return 0
+			}
+			return -1
+		},
+		Attr: func(name []byte) int {
+			switch string(name) {
+			case "status":
+				return 0
+			case "mnt-by":
+				return 1
+			}
+			return -1
+		},
+	}
 	b.SetBytes(int64(len(data)))
-	b.ResetTimer()
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := ReadAll(strings.NewReader(data)); err != nil {
-			b.Fatal(err)
+		s := NewScanner(data, keep)
+		for {
+			if _, err := s.Next(); err == io.EOF {
+				break
+			} else if err != nil {
+				b.Fatal(err)
+			}
 		}
 	}
 }

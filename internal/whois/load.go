@@ -18,91 +18,161 @@ import (
 	"ipleasing/internal/telemetry"
 )
 
-// LoadRPSL parses an RPSL-dialect dump (RIPE, APNIC, AFRINIC) into a
-// unified database. Unknown object classes are skipped; inetnum objects
-// with unparseable ranges are an error.
-func LoadRPSL(reg Registry, r io.Reader) (*Database, error) {
-	return LoadRPSLWith(reg, r, nil)
+// LoadRPSL parses an RPSL-dialect dump (RIPE, APNIC, AFRINIC) held in
+// memory into a unified database. Unknown object classes are skipped;
+// inetnum objects with unparseable ranges are an error.
+func LoadRPSL(reg Registry, data []byte) (*Database, error) {
+	return LoadRPSLWith(reg, data, nil)
+}
+
+// The RPSL classes and attributes LoadRPSLWith reads. The scanner checks
+// every other line but builds nothing from it.
+const (
+	rpslInetnum = iota
+	rpslAutNum
+	rpslOrganisation
+	rpslMntner
+)
+
+const (
+	rpslStatus = iota
+	rpslOrg
+	rpslNetname
+	rpslCountry
+	rpslMntBy
+	rpslASName
+	rpslOrgName
+	rpslMntRef
+	rpslDescr
+)
+
+var rpslKeep = rpsl.Keep{
+	Class: func(name []byte) int {
+		switch string(name) {
+		case "inetnum":
+			return rpslInetnum
+		case "aut-num":
+			return rpslAutNum
+		case "organisation":
+			return rpslOrganisation
+		case "mntner":
+			return rpslMntner
+		}
+		return -1
+	},
+	Attr: func(name []byte) int {
+		switch string(name) {
+		case "status":
+			return rpslStatus
+		case "org":
+			return rpslOrg
+		case "netname":
+			return rpslNetname
+		case "country":
+			return rpslCountry
+		case "mnt-by":
+			return rpslMntBy
+		case "as-name":
+			return rpslASName
+		case "org-name":
+			return rpslOrgName
+		case "mnt-ref":
+			return rpslMntRef
+		case "descr":
+			return rpslDescr
+		}
+		return -1
+	},
 }
 
 // LoadRPSLWith is LoadRPSL threaded through a load-diagnostics collector.
 // A nil collector (or strict options) keeps LoadRPSL's fail-fast behavior;
 // in lenient mode malformed lines and records are skipped and accounted.
-func LoadRPSLWith(reg Registry, r io.Reader, c *diag.Collector) (*Database, error) {
+func LoadRPSLWith(reg Registry, data []byte, c *diag.Collector) (*Database, error) {
 	switch reg {
 	case RIPE, APNIC, AFRINIC:
 	default:
 		return nil, fmt.Errorf("whois: registry %v does not use the RPSL dialect", reg)
 	}
-	db := NewDatabase(reg)
-	rd := rpsl.NewReader(r)
+	s := rpsl.NewScanner(data, rpslKeep)
 	if !c.Strict() {
-		rd.OnBadLine = func(line int, err error) error {
+		s.OnBadLine = func(line int, err error) error {
 			return c.Skip(line, -1, err)
 		}
 	}
-	var obj rpsl.Object // reused across records; extracted strings are interned
+	var (
+		inets rpsl.Slab[InetNum]
+		auts  rpsl.Slab[AutNum]
+		orgs  rpsl.Slab[Org]
+		mnts  rpsl.Slab[Mntner]
+		lists strSlab
+		ports = portabilities{reg: reg}
+	)
+	// collect gathers every value of attr, interned, into the list lists
+	// is building.
+	collect := func(o *rpsl.Record, attr int) {
+		for _, f := range o.Fields {
+			if f.Attr == attr {
+				lists.push(s.Intern(f.Value))
+			}
+		}
+	}
 	for rec := 1; ; rec++ {
-		err := rd.NextInto(&obj)
+		o, err := s.Next()
 		if err == io.EOF {
 			break
 		}
 		if err != nil {
 			return nil, fmt.Errorf("whois: %v dump: %w", reg, err)
 		}
-		o := &obj
-		switch o.Class() {
-		case "inetnum":
-			rng, err := netutil.ParseRange(o.Key())
+		switch o.Class {
+		case rpslInetnum:
+			rng, err := netutil.ParseRangeBytes(o.Key())
 			if err != nil {
 				if err := c.Skip(rec, -1, fmt.Errorf("whois: %v inetnum %q: %w", reg, o.Key(), err)); err != nil {
 					return nil, err
 				}
 				continue
 			}
-			status, _ := o.Get("status")
-			orgID, _ := o.Get("org")
-			netname, _ := o.Get("netname")
-			country, _ := o.Get("country")
-			db.InetNums = append(db.InetNums, &InetNum{
+			status := s.Intern(o.Value(rpslStatus))
+			collect(o, rpslMntBy)
+			*inets.New() = InetNum{
 				Registry:    reg,
 				Range:       rng,
-				NetName:     netname,
+				NetName:     string(o.Value(rpslNetname)),
 				Status:      status,
-				Portability: PortabilityOf(reg, status),
-				OrgID:       orgID,
-				MntBy:       o.GetAll("mnt-by"),
-				Country:     country,
-			})
-		case "aut-num":
-			numStr := strings.TrimPrefix(strings.ToUpper(o.Key()), "AS")
-			v, err := strconv.ParseUint(numStr, 10, 32)
+				Portability: ports.of(status),
+				OrgID:       s.Intern(o.Value(rpslOrg)),
+				MntBy:       lists.take(),
+				Country:     s.Intern(o.Value(rpslCountry)),
+			}
+		case rpslAutNum:
+			v, err := rpsl.ParseAutNum(o.Key())
 			if err != nil {
 				if err := c.Skip(rec, -1, fmt.Errorf("whois: %v aut-num %q: %v", reg, o.Key(), err)); err != nil {
 					return nil, err
 				}
 				continue
 			}
-			name, _ := o.Get("as-name")
-			orgID, _ := o.Get("org")
-			db.AutNums = append(db.AutNums, &AutNum{
-				Registry: reg, Number: uint32(v), Name: name, OrgID: orgID,
-			})
-		case "organisation":
-			name, _ := o.Get("org-name")
-			country, _ := o.Get("country")
-			mnt := append(o.GetAll("mnt-ref"), o.GetAll("mnt-by")...)
-			db.Orgs = append(db.Orgs, &Org{
-				Registry: reg, ID: o.Key(), Name: name, Country: country, MntRef: mnt,
-			})
-		case "mntner":
-			descr, _ := o.Get("descr")
-			db.Mntners = append(db.Mntners, &Mntner{
-				Registry: reg, Handle: o.Key(), Descr: descr,
-			})
+			*auts.New() = AutNum{
+				Registry: reg, Number: v, Name: string(o.Value(rpslASName)), OrgID: s.Intern(o.Value(rpslOrg)),
+			}
+		case rpslOrganisation:
+			collect(o, rpslMntRef)
+			collect(o, rpslMntBy)
+			*orgs.New() = Org{
+				Registry: reg, ID: s.Intern(o.Key()), Name: string(o.Value(rpslOrgName)),
+				Country: s.Intern(o.Value(rpslCountry)), MntRef: lists.take(),
+			}
+		case rpslMntner:
+			*mnts.New() = Mntner{
+				Registry: reg, Handle: s.Intern(o.Key()), Descr: string(o.Value(rpslDescr)),
+			}
 		}
 		c.Parsed()
 	}
+	db := NewDatabase(reg)
+	db.InetNums, db.AutNums, db.Orgs, db.Mntners = inets.All(), auts.All(), orgs.All(), mnts.All()
 	db.Reindex()
 	return db, nil
 }
@@ -176,47 +246,50 @@ func WriteRPSL(w io.Writer, db *Database) error {
 	return nil
 }
 
-// LoadARIN parses an ARIN bulk-WHOIS dump into a unified database.
-// ARIN has no RPSL maintainers; the managing OrgID doubles as the
-// maintainer handle so broker matching (paper §5.3) works uniformly.
-func LoadARIN(r io.Reader) (*Database, error) {
-	return LoadARINWith(r, nil)
+// LoadARIN parses an ARIN bulk-WHOIS dump held in memory into a unified
+// database. ARIN has no RPSL maintainers; the managing OrgID doubles as
+// the maintainer handle so broker matching (paper §5.3) works uniformly.
+func LoadARIN(data []byte) (*Database, error) {
+	return LoadARINWith(data, nil)
 }
 
 // LoadARINWith is LoadARIN threaded through a load-diagnostics collector.
-func LoadARINWith(r io.Reader, c *diag.Collector) (*Database, error) {
-	raw, err := arinwhois.ParseWith(r, c)
+func LoadARINWith(data []byte, c *diag.Collector) (*Database, error) {
+	raw, err := arinwhois.ParseWith(data, c)
 	if err != nil {
 		return nil, err
 	}
-	db := NewDatabase(ARIN)
-	for _, g := range raw.Orgs {
-		db.Orgs = append(db.Orgs, &Org{
-			Registry: ARIN, ID: g.ID, Name: g.Name, Country: g.Country,
-			MntRef: []string{g.ID},
-		})
+	var (
+		orgs  = make([]Org, len(raw.Orgs))
+		auts  = make([]AutNum, len(raw.ASes))
+		inets = make([]InetNum, len(raw.Nets))
+		lists strSlab
+		ports = portabilities{reg: ARIN}
+	)
+	for i, g := range raw.Orgs {
+		lists.push(g.ID)
+		orgs[i] = Org{Registry: ARIN, ID: g.ID, Name: g.Name, Country: g.Country, MntRef: lists.take()}
 	}
-	for _, a := range raw.ASes {
-		db.AutNums = append(db.AutNums, &AutNum{
-			Registry: ARIN, Number: a.Number, Name: a.Name, OrgID: a.OrgID,
-		})
+	for i, a := range raw.ASes {
+		auts[i] = AutNum{Registry: ARIN, Number: a.Number, Name: a.Name, OrgID: a.OrgID}
 	}
-	for _, n := range raw.Nets {
-		var mnt []string
+	for i, n := range raw.Nets {
 		if n.OrgID != "" {
-			mnt = []string{n.OrgID}
+			lists.push(n.OrgID)
 		}
-		db.InetNums = append(db.InetNums, &InetNum{
+		inets[i] = InetNum{
 			Registry:    ARIN,
 			Range:       n.Range,
 			NetName:     n.Name,
 			Status:      n.Type,
-			Portability: PortabilityOf(ARIN, n.Type),
+			Portability: ports.of(n.Type),
 			OrgID:       n.OrgID,
-			MntBy:       mnt,
+			MntBy:       lists.take(),
 			Country:     n.Country,
-		})
+		}
 	}
+	db := NewDatabase(ARIN)
+	db.Orgs, db.AutNums, db.InetNums = ptrs(orgs), ptrs(auts), ptrs(inets)
 	db.Reindex()
 	return db, nil
 }
@@ -257,52 +330,57 @@ func arinNetHandle(r netutil.Range, i int) string {
 	return "NET-" + strings.ReplaceAll(r.First.String(), ".", "-") + "-" + strconv.Itoa(i)
 }
 
-// LoadLACNIC parses a LACNIC dump into a unified database. LACNIC has no
-// standalone organisation objects; orgs are synthesised from the distinct
-// ownerid/owner pairs found on blocks and aut-nums, and the ownerid doubles
-// as the maintainer handle.
-func LoadLACNIC(r io.Reader) (*Database, error) {
-	return LoadLACNICWith(r, nil)
+// LoadLACNIC parses a LACNIC dump held in memory into a unified
+// database. LACNIC has no standalone organisation objects; orgs are
+// synthesised from the distinct ownerid/owner pairs found on blocks and
+// aut-nums, and the ownerid doubles as the maintainer handle.
+func LoadLACNIC(data []byte) (*Database, error) {
+	return LoadLACNICWith(data, nil)
 }
 
 // LoadLACNICWith is LoadLACNIC threaded through a load-diagnostics
 // collector.
-func LoadLACNICWith(r io.Reader, c *diag.Collector) (*Database, error) {
-	raw, err := lacnicwhois.ParseWith(r, c)
+func LoadLACNICWith(data []byte, c *diag.Collector) (*Database, error) {
+	raw, err := lacnicwhois.ParseWith(data, c)
 	if err != nil {
 		return nil, err
 	}
-	db := NewDatabase(LACNIC)
+	var (
+		orgs  []Org
+		inets = make([]InetNum, len(raw.Blocks))
+		auts  = make([]AutNum, len(raw.ASNs))
+		lists strSlab
+		ports = portabilities{reg: LACNIC}
+	)
 	seen := make(map[string]bool)
 	addOrg := func(id, name, country string) {
 		if id == "" || seen[id] {
 			return
 		}
 		seen[id] = true
-		db.Orgs = append(db.Orgs, &Org{
-			Registry: LACNIC, ID: id, Name: name, Country: country,
-			MntRef: []string{id},
-		})
+		lists.push(id)
+		orgs = append(orgs, Org{Registry: LACNIC, ID: id, Name: name, Country: country, MntRef: lists.take()})
 	}
-	for _, b := range raw.Blocks {
+	for i, b := range raw.Blocks {
 		addOrg(b.OwnerID, b.Owner, b.Country)
-		db.InetNums = append(db.InetNums, &InetNum{
+		lists.push(b.OwnerID)
+		inets[i] = InetNum{
 			Registry:    LACNIC,
 			Range:       netutil.RangeOf(b.Prefix),
 			NetName:     b.OwnerID,
 			Status:      b.Status,
-			Portability: PortabilityOf(LACNIC, b.Status),
+			Portability: ports.of(b.Status),
 			OrgID:       b.OwnerID,
-			MntBy:       []string{b.OwnerID},
+			MntBy:       lists.take(),
 			Country:     b.Country,
-		})
+		}
 	}
-	for _, a := range raw.ASNs {
+	for i, a := range raw.ASNs {
 		addOrg(a.OwnerID, a.Owner, "")
-		db.AutNums = append(db.AutNums, &AutNum{
-			Registry: LACNIC, Number: a.Number, Name: a.Owner, OrgID: a.OwnerID,
-		})
+		auts[i] = AutNum{Registry: LACNIC, Number: a.Number, Name: a.Owner, OrgID: a.OwnerID}
 	}
+	db := NewDatabase(LACNIC)
+	db.InetNums, db.AutNums, db.Orgs = ptrs(inets), ptrs(auts), ptrs(orgs)
 	db.Reindex()
 	return db, nil
 }
@@ -366,21 +444,21 @@ func LoadFile(reg Registry, path string) (*Database, error) {
 }
 
 // LoadFileWith is LoadFile threaded through a load-diagnostics collector.
+// The dump is read whole, once, and parsed in place.
 func LoadFileWith(reg Registry, path string, c *diag.Collector) (*Database, error) {
-	f, err := os.Open(path)
+	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	defer f.Close()
 	c.SetFile(path)
-	r := diag.CountReader(f, c)
+	c.AddBytes(int64(len(data)))
 	switch reg {
 	case ARIN:
-		return LoadARINWith(r, c)
+		return LoadARINWith(data, c)
 	case LACNIC:
-		return LoadLACNICWith(r, c)
+		return LoadLACNICWith(data, c)
 	default:
-		return LoadRPSLWith(reg, r, c)
+		return LoadRPSLWith(reg, data, c)
 	}
 }
 
@@ -486,4 +564,70 @@ func WriteDir(ds *Dataset, dir string) error {
 		}
 	}
 	return nil
+}
+
+// portabilities memoises PortabilityOf over the few distinct statuses
+// of one dump. Loaders pass interned statuses, so a hit costs a pointer
+// comparison.
+type portabilities struct {
+	reg      Registry
+	statuses []string
+	ports    []Portability
+}
+
+func (p *portabilities) of(status string) Portability {
+	for i, s := range p.statuses {
+		if s == status {
+			return p.ports[i]
+		}
+	}
+	port := PortabilityOf(p.reg, status)
+	if len(p.statuses) < 16 {
+		p.statuses = append(p.statuses, status)
+		p.ports = append(p.ports, port)
+	}
+	return port
+}
+
+// strSlab hands out the short string lists a load builds — maintainers,
+// managing handles — from shared chunks, so a dump costs one allocation
+// per chunk rather than one per object.
+type strSlab struct {
+	buf   []string
+	start int // where the list being built begins in buf
+}
+
+// push appends v to the list being built.
+func (s *strSlab) push(v string) {
+	if len(s.buf) == cap(s.buf) {
+		list := s.buf[s.start:]
+		chunk := make([]string, len(list), max(1024, 2*len(list)))
+		copy(chunk, list)
+		s.buf, s.start = chunk, 0
+	}
+	s.buf = append(s.buf, v)
+}
+
+// take ends the list being built and returns it, nil when empty. Its
+// capacity is its length, so an append to it never reaches the next
+// list.
+func (s *strSlab) take() []string {
+	if len(s.buf) == s.start {
+		return nil
+	}
+	list := s.buf[s.start:len(s.buf):len(s.buf)]
+	s.start = len(s.buf)
+	return list
+}
+
+// ptrs returns pointers to the elements of vals, nil when it is empty.
+func ptrs[T any](vals []T) []*T {
+	if len(vals) == 0 {
+		return nil
+	}
+	out := make([]*T, len(vals))
+	for i := range vals {
+		out[i] = &vals[i]
+	}
+	return out
 }

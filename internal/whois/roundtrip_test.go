@@ -90,11 +90,11 @@ func TestAllDialectsRoundTripProperty(t *testing.T) {
 			var rerr error
 			switch reg {
 			case ARIN:
-				back, rerr = LoadARIN(&buf)
+				back, rerr = LoadARIN(buf.Bytes())
 			case LACNIC:
-				back, rerr = LoadLACNIC(&buf)
+				back, rerr = LoadLACNIC(buf.Bytes())
 			default:
-				back, rerr = LoadRPSL(reg, &buf)
+				back, rerr = LoadRPSL(reg, buf.Bytes())
 			}
 			if rerr != nil {
 				t.Fatalf("%v load: %v", reg, rerr)

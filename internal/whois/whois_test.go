@@ -2,7 +2,6 @@ package whois
 
 import (
 	"bytes"
-	"strings"
 	"testing"
 
 	"ipleasing/internal/netutil"
@@ -94,7 +93,7 @@ source:         RIPE
 `
 
 func TestLoadRPSL(t *testing.T) {
-	db, err := LoadRPSL(RIPE, strings.NewReader(ripeSample))
+	db, err := LoadRPSL(RIPE, []byte(ripeSample))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +124,7 @@ func TestLoadRPSL(t *testing.T) {
 
 func TestMntnerRoundTrip(t *testing.T) {
 	in := "mntner: IPXO-MNT\ndescr: IPXO maintainer\nauth: MD5-PW $1$x\nsource: RIPE\n"
-	db, err := LoadRPSL(RIPE, strings.NewReader(in))
+	db, err := LoadRPSL(RIPE, []byte(in))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,32 +135,32 @@ func TestMntnerRoundTrip(t *testing.T) {
 	if err := WriteRPSL(&buf, db); err != nil {
 		t.Fatal(err)
 	}
-	back, err := LoadRPSL(RIPE, &buf)
+	back, err := LoadRPSL(RIPE, buf.Bytes())
 	if err != nil || len(back.Mntners) != 1 || back.Mntners[0].Handle != "IPXO-MNT" {
 		t.Fatalf("round trip: %v %+v", err, back.Mntners)
 	}
 }
 
 func TestLoadRPSLWrongDialect(t *testing.T) {
-	if _, err := LoadRPSL(ARIN, strings.NewReader("")); err == nil {
+	if _, err := LoadRPSL(ARIN, []byte("")); err == nil {
 		t.Fatal("ARIN accepted as RPSL dialect")
 	}
-	if _, err := LoadRPSL(LACNIC, strings.NewReader("")); err == nil {
+	if _, err := LoadRPSL(LACNIC, []byte("")); err == nil {
 		t.Fatal("LACNIC accepted as RPSL dialect")
 	}
 }
 
 func TestLoadRPSLErrors(t *testing.T) {
-	if _, err := LoadRPSL(RIPE, strings.NewReader("inetnum: garbage\nstatus: ALLOCATED PA\n")); err == nil {
+	if _, err := LoadRPSL(RIPE, []byte("inetnum: garbage\nstatus: ALLOCATED PA\n")); err == nil {
 		t.Fatal("bad inetnum accepted")
 	}
-	if _, err := LoadRPSL(RIPE, strings.NewReader("aut-num: ASxyz\n")); err == nil {
+	if _, err := LoadRPSL(RIPE, []byte("aut-num: ASxyz\n")); err == nil {
 		t.Fatal("bad aut-num accepted")
 	}
 }
 
 func TestRPSLRoundTrip(t *testing.T) {
-	db, err := LoadRPSL(RIPE, strings.NewReader(ripeSample))
+	db, err := LoadRPSL(RIPE, []byte(ripeSample))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +168,7 @@ func TestRPSLRoundTrip(t *testing.T) {
 	if err := WriteRPSL(&buf, db); err != nil {
 		t.Fatal(err)
 	}
-	back, err := LoadRPSL(RIPE, &buf)
+	back, err := LoadRPSL(RIPE, buf.Bytes())
 	if err != nil {
 		t.Fatalf("re-load: %v", err)
 	}
@@ -202,7 +201,7 @@ NetName: EGI-NET
 NetType: Direct Allocation
 OrgID: EGIHOST
 `
-	db, err := LoadARIN(strings.NewReader(in))
+	db, err := LoadARIN([]byte(in))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,7 +219,7 @@ OrgID: EGIHOST
 	if err := WriteARIN(&buf, db); err != nil {
 		t.Fatal(err)
 	}
-	back, err := LoadARIN(&buf)
+	back, err := LoadARIN(buf.Bytes())
 	if err != nil || len(back.InetNums) != 1 || back.InetNums[0].Range != n.Range {
 		t.Fatalf("ARIN round trip: %v", err)
 	}
@@ -243,7 +242,7 @@ aut-num: AS27700
 owner: Radiografica Costarricense
 ownerid: CR-RACS-LACNIC
 `
-	db, err := LoadLACNIC(strings.NewReader(in))
+	db, err := LoadLACNIC([]byte(in))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,7 +259,7 @@ ownerid: CR-RACS-LACNIC
 	if err := WriteLACNIC(&buf, db); err != nil {
 		t.Fatal(err)
 	}
-	back, err := LoadLACNIC(&buf)
+	back, err := LoadLACNIC(buf.Bytes())
 	if err != nil || len(back.InetNums) != 2 || len(back.Orgs) != 2 {
 		t.Fatalf("LACNIC round trip: %v (%d nets %d orgs)", err, len(back.InetNums), len(back.Orgs))
 	}
