@@ -2,11 +2,10 @@ package ipleasing
 
 // End-to-end determinism contract for the sharded inference engine: the
 // full pipeline output — every inference in result order, plus the
-// rendered Table 1 — must be byte-identical at any GOMAXPROCS, with and
-// without the memo caches. Unlike perf_test.go's csvOf, the serialized
-// result here is deliberately NOT sorted: the point is that sharding
-// preserves the result's intrinsic registry-then-prefix ordering, not
-// merely its contents.
+// rendered Table 1 — must be byte-identical at any GOMAXPROCS. Unlike
+// perf_test.go's csvOf, the serialized result here is deliberately NOT
+// sorted: the point is that sharding preserves the result's intrinsic
+// registry-then-prefix ordering, not merely its contents.
 
 import (
 	"bytes"
@@ -39,13 +38,9 @@ func TestInferDeterminismAcrossGOMAXPROCS(t *testing.T) {
 	want := rawResultBytes(t, ds.Infer(Options{}))
 
 	for _, procs := range []int{1, 2, runtime.NumCPU()} {
-		for _, disable := range []bool{false, true} {
-			runtime.GOMAXPROCS(procs)
-			got := rawResultBytes(t, ds.Infer(Options{DisableCaches: disable}))
-			if got != want {
-				t.Errorf("GOMAXPROCS=%d DisableCaches=%v: output diverged from the serial run",
-					procs, disable)
-			}
+		runtime.GOMAXPROCS(procs)
+		if got := rawResultBytes(t, ds.Infer(Options{})); got != want {
+			t.Errorf("GOMAXPROCS=%d: output diverged from the serial run", procs)
 		}
 	}
 }

@@ -97,8 +97,7 @@ func BenchmarkInferRegion(b *testing.B) {
 
 // TestInferRegionShardDeterminism pins the tentpole contract: the
 // sharded region inference produces bit-identical results — same
-// inference order, same counts — at every worker width, with and
-// without the memo caches.
+// inference order, same counts — at every worker width.
 func TestInferRegionShardDeterminism(t *testing.T) {
 	p, db := benchRegion(16, 512)
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
@@ -109,26 +108,22 @@ func TestInferRegionShardDeterminism(t *testing.T) {
 		t.Fatalf("GOMAXPROCS 1 used %d shards", shards)
 	}
 	for _, procs := range []int{2, 4, 8} {
-		for _, disable := range []bool{false, true} {
-			runtime.GOMAXPROCS(procs)
-			p.Opts.DisableCaches = disable
-			got, _ := p.inferRegion(db)
-			p.Opts.DisableCaches = false
-			if len(got.Inferences) != len(want.Inferences) {
-				t.Fatalf("procs=%d caches=%v: %d inferences, want %d",
-					procs, !disable, len(got.Inferences), len(want.Inferences))
+		runtime.GOMAXPROCS(procs)
+		got, _ := p.inferRegion(db)
+		if len(got.Inferences) != len(want.Inferences) {
+			t.Fatalf("procs=%d: %d inferences, want %d",
+				procs, len(got.Inferences), len(want.Inferences))
+		}
+		for i := range got.Inferences {
+			g, w := &got.Inferences[i], &want.Inferences[i]
+			if g.Prefix != w.Prefix || g.Category != w.Category || g.Root != w.Root {
+				t.Fatalf("procs=%d: inference %d = %v/%v, want %v/%v",
+					procs, i, g.Prefix, g.Category, w.Prefix, w.Category)
 			}
-			for i := range got.Inferences {
-				g, w := &got.Inferences[i], &want.Inferences[i]
-				if g.Prefix != w.Prefix || g.Category != w.Category || g.Root != w.Root {
-					t.Fatalf("procs=%d caches=%v: inference %d = %v/%v, want %v/%v",
-						procs, !disable, i, g.Prefix, g.Category, w.Prefix, w.Category)
-				}
-			}
-			if got.Counts != want.Counts || got.TotalLeaves != want.TotalLeaves {
-				t.Fatalf("procs=%d caches=%v: counts %v/%d, want %v/%d",
-					procs, !disable, got.Counts, got.TotalLeaves, want.Counts, want.TotalLeaves)
-			}
+		}
+		if got.Counts != want.Counts || got.TotalLeaves != want.TotalLeaves {
+			t.Fatalf("procs=%d: counts %v/%d, want %v/%d",
+				procs, got.Counts, got.TotalLeaves, want.Counts, want.TotalLeaves)
 		}
 	}
 }

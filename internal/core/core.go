@@ -128,16 +128,12 @@ type Options struct {
 	// DisableSiblingExpansion turns off as2org sibling matching in the
 	// relatedness test (ablation: subsidiaries become false leases).
 	DisableSiblingExpansion bool
-	// MinVisibility treats prefixes carried by fewer vantage points as
-	// unannounced (sensitivity study for the §7 incomplete-BGP-data
-	// limitation). 0 or 1 disables the filter.
+	// MinVisibility discards an origin lookup's answer — the exact match,
+	// or the least-specific covering prefix of the root fallback — when
+	// that prefix is carried by fewer vantage points (sensitivity study
+	// for the §7 incomplete-BGP-data limitation). The fallback does not
+	// move on to a more specific cover. 0 or 1 disables the filter.
 	MinVisibility int
-	// DisableCaches bypasses the per-run root-resolution and
-	// AS-relatedness memos (and skips freezing the routing table), so
-	// every leaf recomputes from the raw substrates. The output must be
-	// identical either way; this exists to verify exactly that and to
-	// measure the caches' effect.
-	DisableCaches bool
 }
 
 func (o Options) maxLen() uint8 {
@@ -186,7 +182,6 @@ type treeCacheKey struct {
 // per-root shards with preassigned output slots.
 type cachedTree struct {
 	once    sync.Once
-	tree    *prefixtree.Tree[treeValue]
 	entries []prefixtree.Entry[treeValue]
 	rootOf  []int32
 	// segs and totalOut are the shard plan for inferRegion: one segment
@@ -199,11 +194,10 @@ type cachedTree struct {
 }
 
 func (ct *cachedTree) build(p *Pipeline, db *whois.Database) {
-	ct.tree = p.BuildTree(db)
-	ct.entries = ct.tree.Entries()
+	ct.entries = p.BuildTree(db).Entries()
 	// Walk order emits supernets before their subnets, so a depth-indexed
-	// stack of ancestor indexes resolves each entry's root in one pass —
-	// the same answer tree.RootOf gives, without a per-leaf trie descent.
+	// stack of ancestor indexes resolves each entry's root in one pass,
+	// without a per-leaf trie descent.
 	ct.rootOf = make([]int32, len(ct.entries))
 	var stack []int32
 	for i := range ct.entries {
@@ -263,15 +257,12 @@ func buildSegments(entries []prefixtree.Entry[treeValue]) ([]segment, int) {
 	return segs, out
 }
 
-// tree returns the (possibly cached) allocation tree state for db.
+// allocTree returns the allocation tree state for db, from p.Trees when
+// the pipeline has a cache and freshly built otherwise.
 func (p *Pipeline) allocTree(db *whois.Database) *cachedTree {
-	if p.Trees == nil || p.Opts.DisableCaches {
-		tree := p.BuildTree(db)
-		ct := &cachedTree{tree: tree, entries: tree.Entries()}
-		// The shard plan is rebuilt too: the cache bypass changes how
-		// roots are resolved (trie descent instead of rootOf), never
-		// how work is partitioned or ordered.
-		ct.segs, ct.totalOut = buildSegments(ct.entries)
+	if p.Trees == nil {
+		ct := &cachedTree{}
+		ct.build(p, db)
 		return ct
 	}
 	key := treeCacheKey{reg: db.Registry, maxLen: p.Opts.maxLen()}
@@ -308,17 +299,13 @@ func (p *Pipeline) Related(a, b uint32) bool {
 // thousands of leaves under a handful of distinct roots repeats the same
 // root resolutions and AS-pair relatedness probes, so both are cached for
 // the duration of one Infer call. Each region goroutine owns its own
-// runState, keeping the hot path lock-free. A nil runState (the
-// Options.DisableCaches bypass) recomputes everything.
+// runState, keeping the hot path lock-free.
 type runState struct {
 	roots map[netutil.Prefix]*rootInfo
 	rel   map[uint64]bool
 }
 
 func (p *Pipeline) newRunState() *runState {
-	if p.Opts.DisableCaches {
-		return nil
-	}
 	return &runState{
 		roots: make(map[netutil.Prefix]*rootInfo),
 		rel:   make(map[uint64]bool),
@@ -335,9 +322,6 @@ type rootInfo struct {
 
 // relatedCached is Related behind the per-run AS-pair memo.
 func (p *Pipeline) relatedCached(st *runState, a, b uint32) bool {
-	if st == nil {
-		return p.Related(a, b)
-	}
 	key := uint64(a)<<32 | uint64(b)
 	if v, ok := st.rel[key]; ok {
 		return v
@@ -569,12 +553,10 @@ func (p *Pipeline) Infer() *Result {
 func (p *Pipeline) InferContext(ctx context.Context) *Result {
 	res := &Result{Regions: make(map[whois.Registry]*RegionResult)}
 	if p.Table != nil {
-		if !p.Opts.DisableCaches {
-			// Index the routing table once, before the region fan-out,
-			// so the origin queries below are allocation-free cache
-			// reads (Freeze is idempotent).
-			p.Table.Freeze()
-		}
+		// Index the routing table once, before the region fan-out, so
+		// the origin queries below are allocation-free cache reads
+		// (Freeze is idempotent).
+		p.Table.Freeze()
 		res.TotalBGPPrefixes = p.Table.NumPrefixes()
 		res.RoutedSpace = p.Table.RoutedAddressSpace()
 	}
@@ -737,15 +719,8 @@ func (p *Pipeline) classifySegment(db *whois.Database, ct *cachedTree, seg segme
 			root    *whois.InetNum
 		)
 		if e.Depth > 0 {
-			if ct.rootOf != nil {
-				re := &ct.entries[ct.rootOf[i]]
-				rootPfx, root = re.Prefix, re.Value.inet
-			} else {
-				// Cache bypass: resolve the root through the trie,
-				// the pre-cache lookup path.
-				rp, rv, _ := ct.tree.RootOf(e.Prefix)
-				rootPfx, root = rp, rv.inet
-			}
+			re := &ct.entries[ct.rootOf[i]]
+			rootPfx, root = re.Prefix, re.Value.inet
 		}
 		inf := p.classifyLeaf(db, e.Prefix, leaf, rootPfx, root, st)
 		counts[inf.Category]++
@@ -764,10 +739,8 @@ func (p *Pipeline) classifySegment(db *whois.Database, ct *cachedTree, seg segme
 // function of the root prefix under one run's fixed Options, which is
 // what makes caching by root prefix sound.
 func (p *Pipeline) resolveRoot(db *whois.Database, rootPfx netutil.Prefix, root *whois.InetNum, st *runState) *rootInfo {
-	if st != nil {
-		if ri, ok := st.roots[rootPfx]; ok {
-			return ri
-		}
+	if ri, ok := st.roots[rootPfx]; ok {
+		return ri
 	}
 	ri := &rootInfo{asns: db.ASNsOfOrg(root.OrgID)}
 	if p.Table != nil {
@@ -784,9 +757,7 @@ func (p *Pipeline) resolveRoot(db *whois.Database, rootPfx netutil.Prefix, root 
 		ri.candidates = make([]uint32, 0, n)
 		ri.candidates = append(append(ri.candidates, ri.asns...), ri.origins...)
 	}
-	if st != nil {
-		st.roots[rootPfx] = ri
-	}
+	st.roots[rootPfx] = ri
 	return ri
 }
 

@@ -83,7 +83,7 @@ type regionPlan struct {
 // p must be the pipeline over the NEW substrates and prevP the pipeline
 // that produced prev; both need a TreeCache and identical Options. The
 // fourth return is false when the delta path cannot run (missing caches,
-// options mismatch, DisableCaches, or dirty-segment ratio above
+// options mismatch, or dirty-segment ratio above
 // maxDirtyRatio) — the caller then falls back to a full Infer. A
 // maxDirtyRatio <= 0 disables the threshold.
 //
@@ -97,7 +97,7 @@ func (p *Pipeline) ApplyDelta(ctx context.Context, prevP *Pipeline, prev *Result
 	if p.Whois == nil || prevP.Whois == nil || p.Trees == nil || prevP.Trees == nil {
 		return nil, nil, nil, false
 	}
-	if p.Opts != prevP.Opts || p.Opts.DisableCaches {
+	if p.Opts != prevP.Opts {
 		return nil, nil, nil, false
 	}
 	if p.Table != nil {

@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"strings"
 	"sync"
+	"sync/atomic"
 )
 
 // LoadError locates one malformed record in an input source.
@@ -186,10 +187,14 @@ func (r *LoadReport) String() string {
 // one thing the mutex cannot give is cross-record ordering: under
 // concurrent Skip calls the circuit breaker trips on whichever call
 // pushes the rate over the limit first.
+//
+// The parsed count, bumped once per record by every parser, is an
+// atomic outside the mutex; Skip and Report read it.
 type Collector struct {
-	mu   sync.Mutex
-	opts LoadOptions
-	rep  LoadReport
+	mu     sync.Mutex
+	opts   LoadOptions
+	rep    LoadReport // Parsed stays 0; Report fills it from parsed
+	parsed atomic.Int64
 }
 
 // NewCollector returns a collector for the named source. Zero option
@@ -216,18 +221,14 @@ func (c *Collector) SetFile(file string) {
 // Parsed counts one successfully loaded record.
 func (c *Collector) Parsed() {
 	if c != nil {
-		c.mu.Lock()
-		c.rep.Parsed++
-		c.mu.Unlock()
+		c.parsed.Add(1)
 	}
 }
 
 // AddParsed counts n successfully loaded records.
 func (c *Collector) AddParsed(n int) {
 	if c != nil {
-		c.mu.Lock()
-		c.rep.Parsed += n
-		c.mu.Unlock()
+		c.parsed.Add(int64(n))
 	}
 }
 
@@ -262,7 +263,7 @@ func (c *Collector) Skip(record int, offset int64, err error) error {
 	if len(c.rep.ErrorSamples) < c.opts.maxErrorSamples() {
 		c.rep.ErrorSamples = append(c.rep.ErrorSamples, le)
 	}
-	total := c.rep.Parsed + c.rep.Skipped
+	total := int(c.parsed.Load()) + c.rep.Skipped
 	skipped := c.rep.Skipped
 	// total >= breakerMinRecords (and Skipped just incremented) keeps the
 	// rate division well-defined; limit <= 0 disables the breaker.
@@ -326,6 +327,7 @@ func (c *Collector) Report() *LoadReport {
 	}
 	c.mu.Lock()
 	rep := c.rep
+	rep.Parsed = int(c.parsed.Load())
 	rep.ErrorSamples = append([]*LoadError(nil), c.rep.ErrorSamples...)
 	c.mu.Unlock()
 	return &rep

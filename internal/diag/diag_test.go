@@ -176,10 +176,12 @@ func TestCollectorConcurrent(t *testing.T) {
 	var writers, reader sync.WaitGroup
 	stop := make(chan struct{})
 	// Reader goroutine: snapshots must never observe more samples than
-	// skips, regardless of interleaving.
+	// skips, nor counts smaller than an earlier snapshot's, regardless of
+	// interleaving.
 	reader.Add(1)
 	go func() {
 		defer reader.Done()
+		lastParsed, lastSkipped := 0, 0
 		for {
 			select {
 			case <-stop:
@@ -192,6 +194,12 @@ func TestCollectorConcurrent(t *testing.T) {
 					len(rep.ErrorSamples), rep.Skipped)
 				return
 			}
+			if rep.Parsed < lastParsed || rep.Skipped < lastSkipped {
+				t.Errorf("counts went backwards: %d/%d after %d/%d",
+					rep.Parsed, rep.Skipped, lastParsed, lastSkipped)
+				return
+			}
+			lastParsed, lastSkipped = rep.Parsed, rep.Skipped
 		}
 	}()
 	for w := 0; w < workers; w++ {
@@ -223,5 +231,25 @@ func TestCollectorConcurrent(t *testing.T) {
 	}
 	if len(rep.ErrorSamples) != DefaultMaxErrorSamples {
 		t.Errorf("samples = %d, want cap %d", len(rep.ErrorSamples), DefaultMaxErrorSamples)
+	}
+}
+
+// TestBreakerTripsOnRecordWithParsed pins the record the error-rate
+// breaker trips on when parsed and malformed records interleave: ten
+// good records, then garbage. The breaker reads the running parsed
+// count, so a count that lagged behind Parsed calls would move the trip.
+func TestBreakerTripsOnRecordWithParsed(t *testing.T) {
+	c := NewCollector("whois/RIPE", Lenient())
+	for r := 1; r <= 10; r++ {
+		c.Parsed()
+	}
+	for r := 11; r < 21; r++ {
+		if err := c.Skip(r, -1, errors.New("junk")); err != nil {
+			t.Fatalf("breaker tripped at record %d, want 21: %v", r, err)
+		}
+	}
+	// 11 skips of 21 records is the first rate above one half.
+	if err := c.Skip(21, -1, errors.New("junk")); !errors.Is(err, ErrErrorRate) {
+		t.Fatalf("record 21: breaker error = %v, want a trip", err)
 	}
 }

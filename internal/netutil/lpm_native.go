@@ -81,7 +81,8 @@ func (t *LPM) AppendNative(dst []byte) []byte {
 // over, so the index can never hand out a value past the arena it
 // serves. Every record
 // is validated before the index is returned — lengths, masks, host
-// bits, value range, child links, the /0 anchor, and zeroed padding —
+// bits, value range, child links (in range and strictly longer than
+// their parent), the /0 anchor, and zeroed padding —
 // so a damaged file fails here rather than corrupting a descent later.
 // The stride-8 root table is always rebuilt on the heap; only the node
 // array aliases the input.
@@ -146,11 +147,15 @@ func LPMFromNative(data []byte, maxVal int) (*LPM, error) {
 		if nd.val < -1 || int(nd.val) >= maxVal {
 			return nil, fmt.Errorf("netutil: native LPM node %d value %d outside [-1, %d)", i, nd.val, maxVal)
 		}
-		if k := nd.kid[0]; k < -1 || int(k) >= n || k == int32(i) {
-			return nil, fmt.Errorf("netutil: native LPM node %d child index %d out of range", i, k)
-		}
-		if k := nd.kid[1]; k < -1 || int(k) >= n || k == int32(i) {
-			return nil, fmt.Errorf("netutil: native LPM node %d child index %d out of range", i, k)
+		for _, k := range nd.kid {
+			if k < -1 || int(k) >= n {
+				return nil, fmt.Errorf("netutil: native LPM node %d child index %d out of range", i, k)
+			}
+			// A child strictly longer than its parent keeps every
+			// descent acyclic: at most 33 steps, whatever the links.
+			if k >= 0 && t.nodes[k].len <= nd.len {
+				return nil, fmt.Errorf("netutil: native LPM node %d child %d is not longer than its parent", i, k)
+			}
 		}
 	}
 	if t.nodes[0].len != 0 || t.nodes[0].base != 0 {

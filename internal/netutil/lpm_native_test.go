@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"math/rand"
 	"testing"
+	"unsafe"
 )
 
 // TestLPMNativeRoundTrip: an index rebuilt over its native encoding —
@@ -91,6 +92,12 @@ func lpmNativeDamage(good []byte, nvals int) []lpmDamage {
 		}},
 		{name: "kid-self-loop", mutate: func(b []byte) {
 			binary.LittleEndian.PutUint32(b[node(1)+12:], 1)
+		}},
+		{name: "kid-to-ancestor", mutate: func(b []byte) {
+			// A child no longer than its parent can close a cycle
+			// that a descent would never leave.
+			binary.LittleEndian.PutUint32(b[node(1)+12:], 0)
+			binary.LittleEndian.PutUint32(b[node(1)+16:], 0)
 		}},
 		{name: "node-padding", mutate: func(b []byte) { b[node(1)+22] = 0xee }},
 		{name: "no-root-anchor", mutate: func(b []byte) {
@@ -214,4 +221,68 @@ func TestLPMNativeUnalignedFallsBack(t *testing.T) {
 			t.Fatalf("Lookup(%v) = %d,%v; want %d,%v", a, gi, gok, wi, wok)
 		}
 	}
+}
+
+// aligned copies b into an 8-aligned buffer, so LPMFromNative may alias
+// it (the path a mapped snapshot takes).
+func aligned(b []byte) []byte {
+	words := make([]uint64, len(b)/8+1)
+	buf := unsafe.Slice((*byte)(unsafe.Pointer(&words[0])), len(words)*8)
+	return buf[:copy(buf, b)]
+}
+
+// FuzzLPMFromNative feeds arbitrary bytes to both native decodes, the
+// aliasing one and the copying one. Neither may panic or hang, both must
+// accept or reject alike, and an accepted index must answer every
+// longest-match and exact lookup identically on both, always with a
+// value below maxVal.
+func FuzzLPMFromNative(f *testing.F) {
+	rng := rand.New(rand.NewSource(9))
+	ps := randomPrefixSet(rng, 64)
+	good := BuildLPM(ps).AppendNative(nil)
+	f.Add(good, uint16(len(ps)))
+	f.Add(BuildLPM(ps[:3]).AppendNative(nil), uint16(3))
+	f.Add(BuildLPM(nil).AppendNative(nil), uint16(0))
+	for _, d := range lpmNativeDamage(good, len(ps)) {
+		f.Add(d.apply(good), uint16(len(ps)))
+	}
+	f.Fuzz(func(t *testing.T, data []byte, maxVal uint16) {
+		alias, aerr := LPMFromNative(aligned(data), int(maxVal))
+		copied, cerr := LPMFromNative(unaligned(data), int(maxVal))
+		if (aerr == nil) != (cerr == nil) {
+			t.Fatalf("aliasing decode err %v, copying decode err %v", aerr, cerr)
+		}
+		if aerr != nil {
+			return
+		}
+		// Probe every encoded node's prefix, its first and last address
+		// and one address past it, plus addresses drawn from the input.
+		var probes []Prefix
+		for off := lpmNativeHeaderSize; off+lpmNativeNodeSize <= len(data); off += lpmNativeNodeSize {
+			p := Prefix{Base: Addr(binary.LittleEndian.Uint32(data[off:])), Len: data[off+20] % 33}
+			probes = append(probes, p)
+		}
+		r := rand.New(rand.NewSource(int64(len(data))))
+		for i := 0; i < 64; i++ {
+			probes = append(probes, Prefix{Base: Addr(r.Uint32()), Len: uint8(r.Intn(33))})
+		}
+		check := func(what string, a, b int32, aok, bok bool) {
+			if a != b || aok != bok {
+				t.Fatalf("%s: aliasing %d,%v, copying %d,%v", what, a, aok, b, bok)
+			}
+			if int(a) >= int(maxVal) || (aok && a < 0) {
+				t.Fatalf("%s = %d,%v, outside [0, %d)", what, a, aok, maxVal)
+			}
+		}
+		for _, p := range probes {
+			for _, a := range []Addr{p.Base, p.Last(), p.Last() + 1} {
+				x, xok := alias.Lookup(a)
+				y, yok := copied.Lookup(a)
+				check("Lookup("+a.String()+")", x, y, xok, yok)
+			}
+			x, xok := alias.LookupExact(p)
+			y, yok := copied.LookupExact(p)
+			check("LookupExact("+p.String()+")", x, y, xok, yok)
+		}
+	})
 }

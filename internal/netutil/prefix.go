@@ -443,11 +443,6 @@ func (r Range) Contains(a Addr) bool {
 	return a >= r.First && a <= r.Last
 }
 
-// ContainsRange reports whether q is fully inside r.
-func (r Range) ContainsRange(q Range) bool {
-	return q.First >= r.First && q.Last <= r.Last
-}
-
 // IsCIDR reports whether the range is exactly one CIDR prefix, and if so
 // returns it.
 func (r Range) IsCIDR() (Prefix, bool) {

@@ -347,11 +347,6 @@ func (t *Tree[V]) ShortestMatch(p netutil.Prefix) (netutil.Prefix, V, bool) {
 	return netutil.Prefix{}, zero, false
 }
 
-// LongestMatchAddr is LongestMatch for a single address.
-func (t *Tree[V]) LongestMatchAddr(a netutil.Addr) (netutil.Prefix, V, bool) {
-	return t.LongestMatch(netutil.Prefix{Base: a, Len: 32})
-}
-
 // Delete removes p from the tree, reporting whether it was present.
 // Structural nodes are left in place (they are cheap and deletion is rare
 // in this pipeline).
@@ -498,12 +493,6 @@ func (t *Tree[V]) Leaves() []Entry[V] {
 		return true
 	})
 	return out
-}
-
-// RootOf returns the least-specific inserted ancestor of p (possibly p
-// itself): the allocation-forest root whose subtree contains p.
-func (t *Tree[V]) RootOf(p netutil.Prefix) (netutil.Prefix, V, bool) {
-	return t.ShortestMatch(p)
 }
 
 // Ancestors returns every inserted strict ancestor of p, outermost first.

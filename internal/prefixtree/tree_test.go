@@ -81,9 +81,9 @@ func TestLongestShortestMatch(t *testing.T) {
 	if _, _, ok := tr.LongestMatch(mp("0.0.0.0/0")); ok {
 		t.Fatal("supernet matched")
 	}
-	p, v, ok = tr.LongestMatchAddr(netutil.MustParseAddr("10.1.2.3"))
+	p, v, ok = tr.LongestMatch(mp("10.1.2.3/32"))
 	if !ok || p != mp("10.1.2.0/24") || v != "twentyfour" {
-		t.Fatalf("LongestMatchAddr = %v %v %v", p, v, ok)
+		t.Fatalf("LongestMatch /32 = %v %v %v", p, v, ok)
 	}
 }
 
@@ -178,9 +178,10 @@ func TestRootOf(t *testing.T) {
 	var tr Tree[int]
 	tr.Insert(mp("172.16.0.0/12"), 1)
 	tr.Insert(mp("172.16.5.0/24"), 2)
-	p, v, ok := tr.RootOf(mp("172.16.5.0/24"))
+	// The allocation-forest root of a block is its shortest match.
+	p, v, ok := tr.ShortestMatch(mp("172.16.5.0/24"))
 	if !ok || p != mp("172.16.0.0/12") || v != 1 {
-		t.Fatalf("RootOf = %v %v %v", p, v, ok)
+		t.Fatalf("ShortestMatch = %v %v %v", p, v, ok)
 	}
 }
 

@@ -102,14 +102,6 @@ func (t *Trace) Context(ctx context.Context) context.Context {
 	return context.WithValue(ctx, spanKey{}, t.root)
 }
 
-// ContextWith returns ctx carrying an explicit parent span.
-func ContextWith(ctx context.Context, s *Span) context.Context {
-	if s == nil {
-		return ctx
-	}
-	return context.WithValue(ctx, spanKey{}, s)
-}
-
 // SpanFrom returns the span carried by ctx, or nil.
 func SpanFrom(ctx context.Context) *Span {
 	s, _ := ctx.Value(spanKey{}).(*Span)

@@ -437,14 +437,9 @@ func DumpFileName(reg Registry) string {
 	return strings.ToLower(reg.String()) + ".db"
 }
 
-// LoadFile loads one registry's dump from path using the registry's
-// native dialect.
-func LoadFile(reg Registry, path string) (*Database, error) {
-	return LoadFileWith(reg, path, nil)
-}
-
-// LoadFileWith is LoadFile threaded through a load-diagnostics collector.
-// The dump is read whole, once, and parsed in place.
+// LoadFileWith loads one registry's dump from path using the registry's
+// native dialect, accounting it in c (nil: strict, no accounting). The
+// dump is read whole, once, and parsed in place.
 func LoadFileWith(reg Registry, path string, c *diag.Collector) (*Database, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
