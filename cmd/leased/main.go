@@ -28,7 +28,7 @@
 // finished traces are served as JSON from /debug/traces. Sampled
 // responses carry X-Trace-Id; incoming W3C traceparent headers are
 // honored, and snapshot fetches propagate them so a replica's
-// fetch/decode/swap joins the publisher's reload trace. See the
+// fetch/open/swap joins the publisher's reload trace. See the
 // README's Observability section for the metric catalog and trace
 // query parameters.
 //
@@ -43,20 +43,22 @@
 // the OS in the background, so an idle publisher's resident set is its
 // serving state. Timer reloads skip this; the next tick reuses the heap.
 //
-// Persistence and replication (see internal/snapstore): with
-// -snapshot-dir, every snapshot a reload builds is encoded into a
-// checksummed binary generation file, atomically published to that
-// directory, and served opened from that file — a generation that
-// cannot be persisted fails the reload and is never served. A restart
-// cold-starts from the newest valid generation
-// in O(bytes) — no dataset parse, no inference — falling back
-// generation by generation past anything corrupt, then to a full load.
-// The current generation is always exposed on /snapshot/current. With
-// -snapshot-url, the daemon is a stateless replica: it serves
-// snapshots fetched from another daemon's /snapshot/current (polling
-// with -poll, conditional GETs, lag surfaced on /statusz and
-// replica_generation_lag) and needs no dataset at all; adding
-// -snapshot-dir caches fetched generations so the replica can cold
+// Persistence and replication (see internal/snapstore): every snapshot
+// a reload builds is encoded into a checksummed binary generation
+// file, atomically published to the daemon's snapshot store, and
+// served opened from that file — a generation that cannot be persisted
+// fails the reload and is never served. The store is -snapshot-dir, or
+// without it a private temporary directory that keeps one generation
+// and is removed when the daemon exits. With -snapshot-dir a restart
+// cold-starts from the newest valid generation in O(bytes) — no
+// dataset parse, no inference — falling back generation by generation
+// past anything corrupt, then to a full load. The current generation
+// is always exposed on /snapshot/current. With -snapshot-url, the
+// daemon is a replica: it serves snapshots fetched from another
+// daemon's /snapshot/current (polling with -poll, conditional GETs,
+// lag surfaced on /statusz and replica_generation_lag) and needs no
+// dataset, only a store to stream fetched generations into; with
+// -snapshot-dir those outlive the process, so the replica can cold
 // start with its publisher down. A publisher answering 429/503 with
 // Retry-After is honored: the replica suppresses polls for the hinted
 // duration, capped at one poll interval.
@@ -66,12 +68,11 @@
 // a corrupt file fails then, never mid-request), and the serving
 // indexes are views over the mapping, so a cold start costs page-cache
 // faults instead of a full decode and two daemons on one host share
-// the physical memory. Replicas with a -snapshot-dir stream fetched
-// bodies straight to disk and map the published file, never buffering
-// a snapshot on the heap. There is no switch for this: the load mode
-// follows from what the daemon has. A replica without -snapshot-dir
-// decodes fetched bodies on the heap, and so does any daemon on a
-// platform or filesystem where mapping fails. A generation file of
+// the physical memory. Replicas stream fetched bodies straight to disk
+// and map the adopted file, never buffering a snapshot on the heap.
+// There is no switch for this: every daemon serves a mapped generation
+// file, and only a platform or filesystem where mapping fails reads
+// the file onto the heap instead. A generation file of
 // another format version is skipped like a corrupt one: a publisher
 // re-infers, a replica re-fetches.
 //
@@ -130,7 +131,7 @@ func run(ctx context.Context, args []string, stderr io.Writer, ready func(addr s
 	fs.StringVar(&cfg.LogFormat, "log-format", "text", "log record format: text (key=value) or json")
 	fs.StringVar(&cfg.LogLevel, "log-level", "info", "minimum log level: debug, info, warn, error")
 	fs.BoolVar(&cfg.Pprof, "pprof", false, "expose the Go profiler on /debug/pprof/*")
-	fs.StringVar(&cfg.SnapshotDir, "snapshot-dir", "", "persist every serving snapshot to this directory and cold-start from the newest valid generation")
+	fs.StringVar(&cfg.SnapshotDir, "snapshot-dir", "", "persist every serving snapshot to this directory and cold-start from the newest valid generation (default: a private temporary directory, removed on exit)")
 	fs.IntVar(&cfg.SnapshotKeep, "snapshot-keep", 4, "snapshot generations retained in -snapshot-dir (negative keeps all)")
 	fs.StringVar(&cfg.SnapshotURL, "snapshot-url", "", "replica mode: serve snapshots fetched from this publisher endpoint (e.g. http://host:8402/snapshot/current) instead of loading -data")
 	fs.DurationVar(&cfg.Poll, "poll", 15*time.Second, "replica poll period for new publisher generations")

@@ -259,7 +259,7 @@ func (c *checker) sampleIdentity(probe string) {
 		}
 		gen := hdr.Get(serve.GenerationHeader)
 		if gen == "" {
-			continue // pre-generation snapshot (no store configured)
+			continue // no generation header: not a daemon-served snapshot
 		}
 		sum := sha256.Sum256(body)
 		byGen[gen] = append(byGen[gen], obs{url: url, hash: hex.EncodeToString(sum[:8])})

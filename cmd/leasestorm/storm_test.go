@@ -69,7 +69,7 @@ func TestStormDeterministicVerdicts(t *testing.T) {
 		}
 		// The tracing acceptance criteria: the run must assemble at least
 		// one cross-process generation-lifecycle trace (publisher reload
-		// joined to a replica fetch/decode/swap by one trace ID) and at
+		// joined to a replica fetch/open/swap by one trace ID) and at
 		// least one error-tail trace.
 		if rep.Traces == nil {
 			t.Fatal("run report has no trace summary")

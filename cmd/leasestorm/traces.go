@@ -16,7 +16,7 @@ import (
 const (
 	// ClassLifecycle is a cross-process generation-lifecycle trace: the
 	// publisher's reload/publish cycle and at least one replica's
-	// fetch/decode/swap share a trace ID, linked through the snapshot's
+	// fetch/open/swap share a trace ID, linked through the snapshot's
 	// provenance traceparent.
 	ClassLifecycle = "lifecycle"
 	// ClassError holds at least one error or slow-tail record.

@@ -11,8 +11,9 @@
 // organisation churn) and writes the result to -mutate-out (default
 // "<out>.next"). One run yields two dataset directories exactly one
 // reload apart — the input for reloads over churn, full or incremental.
-// Both epochs must come from one run: generation consumes randomness in
-// map order, so two -seed invocations do not produce identical worlds.
+// The same -seed writes the same bytes, so a base epoch can be
+// regenerated at will; -mutate still needs the generated world in
+// memory, so both epochs come from one run.
 //
 // Usage:
 //

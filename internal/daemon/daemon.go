@@ -19,6 +19,7 @@ import (
 	"os"
 	"os/signal"
 	"strings"
+	"sync"
 	"syscall"
 	"time"
 
@@ -54,7 +55,7 @@ const (
 // Config carries the daemon's flag-shaped configuration; cmd/leased
 // maps its flags onto it one to one. The zero value of every field is a
 // usable default except Data, which must name a dataset directory
-// (unless SnapshotURL makes this a stateless replica).
+// (unless SnapshotURL makes this a replica, which needs no dataset).
 type Config struct {
 	Data        string        // dataset directory
 	Addr        string        // listen address
@@ -67,7 +68,7 @@ type Config struct {
 	LogLevel    string        // minimum log level
 	Pprof       bool          // expose /debug/pprof/*
 
-	SnapshotDir  string        // persist serving snapshots here; cold-start from it
+	SnapshotDir  string        // persist serving snapshots here; cold-start from it ("" = private, removed by Run)
 	SnapshotKeep int           // generations retained in SnapshotDir
 	SnapshotURL  string        // replica mode: fetch snapshots from this publisher endpoint
 	Poll         time.Duration // replica poll period
@@ -215,6 +216,7 @@ func serveConfig(cfg Config, b *snapshotBuilder, snaps *snapshots, logger *telem
 		Logger:         logger,
 		Metrics:        reg,
 		JitterSeed:     cfg.JitterSeed,
+		Replication:    snaps.replicationStatus,
 	}
 	if cfg.TraceSample >= 0 {
 		rate := cfg.TraceSample
@@ -235,9 +237,6 @@ func serveConfig(cfg Config, b *snapshotBuilder, snaps *snapshots, logger *telem
 		scfg.Build = snaps.buildFromFetch
 		scfg.ReloadEvery = 0
 	}
-	if snaps != nil {
-		scfg.Replication = snaps.replicationStatus
-	}
 	return scfg
 }
 
@@ -257,10 +256,9 @@ func Run(ctx context.Context, cfg Config, logw io.Writer, ready func(addr string
 	if err != nil {
 		return err
 	}
+	defer snaps.close()
 	s := serve.New(serveConfig(cfg, newSnapshotBuilder(cfg), snaps, logger, reg))
-	if snaps != nil {
-		s.Route("snapshot", "/snapshot/current", false, snaps.pub.ServeHTTP)
-	}
+	s.Route("snapshot", "/snapshot/current", false, snaps.pub.ServeHTTP)
 	// The first load is synchronous and fatal on failure: a daemon with
 	// nothing to serve should crash-loop visibly, not sit unready.
 	if err := s.Reload(ctx, true); err != nil {
@@ -274,18 +272,29 @@ func Run(ctx context.Context, cfg Config, logw io.Writer, ready func(addr string
 	logger.Info("listening",
 		"addr", ln.Addr(), "dataset", cfg.Data,
 		"inferences", s.Snapshot().NumInferences(), "pprof", cfg.Pprof,
-		"snapshot_dir", cfg.SnapshotDir, "snapshot_url", cfg.SnapshotURL)
+		"snapshot_dir", snaps.store.Dir(), "snapshot_url", cfg.SnapshotURL)
 	if ready != nil {
 		ready(ln.Addr().String())
 	}
 
+	// Every goroutine that can publish into the store is waited for
+	// before Run returns, so a private store is removed only once
+	// nothing writes to it.
+	var bg sync.WaitGroup
 	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	if snaps.replica() {
-		go snaps.pollLoop(ctx, s)
-	} else {
-		go s.ReloadLoop(ctx)
-	}
+	defer func() {
+		cancel()
+		bg.Wait()
+	}()
+	bg.Add(1)
+	go func() {
+		defer bg.Done()
+		if snaps.replica() {
+			snaps.pollLoop(ctx, s)
+		} else {
+			s.ReloadLoop(ctx)
+		}
+	}()
 
 	sigs := make(chan os.Signal, 2)
 	signal.Notify(sigs, syscall.SIGHUP, syscall.SIGTERM, syscall.SIGINT)
@@ -319,7 +328,9 @@ func Run(ctx context.Context, cfg Config, logw io.Writer, ready func(addr string
 				// a forced fetch: the conditional-GET state is dropped so
 				// the publisher's current generation transfers in full.
 				snaps.forceRefresh()
+				bg.Add(1)
 				go func() {
+					defer bg.Done()
 					if err := s.Reload(ctx, true); err != nil {
 						logger.Error("SIGHUP reload failed", "err", err)
 					}

@@ -338,7 +338,12 @@ func TestDeltaBaselineNeedsTimer(t *testing.T) {
 			}
 			cfg := Config{Data: dir, Reload: tc.reload}
 			reg := telemetry.NewRegistry()
-			scfg := serveConfig(cfg, newSnapshotBuilder(cfg), nil, nil, reg)
+			snaps, err := newSnapshots(cfg, nil, reg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer snaps.close()
+			scfg := serveConfig(cfg, newSnapshotBuilder(cfg), snaps, nil, reg)
 			if scfg.ReloadEvery != tc.reload {
 				t.Fatalf("ReloadEvery = %v, want %v", scfg.ReloadEvery, tc.reload)
 			}

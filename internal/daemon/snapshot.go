@@ -3,6 +3,7 @@ package daemon
 import (
 	"context"
 	"errors"
+	"fmt"
 	"os"
 	"strconv"
 	"sync"
@@ -15,31 +16,34 @@ import (
 )
 
 // snapshots is the daemon's persistence and replication layer, built on
-// internal/snapstore. One struct covers both roles, and every
-// generation either serves is opened from its encoded bytes by the same
-// code (serveOpened):
+// internal/snapstore. Every daemon has a store — SnapshotDir, or a
+// private temporary directory removed when Run returns — and every
+// generation it serves is a store file opened by the same code (open,
+// then serveOpened), so publisher and replica answer from the same
+// bytes through the same path:
 //
-//   - Publisher (SnapshotDir, no SnapshotURL): every reload that builds
-//     mints the next generation, encodes it once, durably publishes it
-//     to the store and serves it opened from the published file, so
+//   - Publisher (no SnapshotURL): every reload that builds mints the
+//     next generation, encodes it once, durably publishes it to the
+//     store and serves it opened from the published file, so
 //     /snapshot/current and the answers come from one set of bytes;
-//     cold start opens the newest valid on-disk generation instead of
-//     re-running inference.
+//     with SnapshotDir, cold start opens the newest valid on-disk
+//     generation instead of re-running inference.
 //   - Replica (SnapshotURL): the reload builder fetches encoded
 //     snapshots from an upstream publisher instead of loading a
-//     dataset; a poll loop probes for new generations and drives
+//     dataset, streams each body into the store and opens it like a
+//     publisher's; a poll loop probes for new generations and drives
 //     reloads through the serve.Server machinery, so fetch failures
 //     degrade exactly like dataset failures (serve last-good, flip
-//     /readyz, open the breaker). With SnapshotDir too, fetched
-//     generations are stored and mapped like a publisher's, and a cold
-//     start with the publisher down serves the newest of them.
+//     /readyz, open the breaker). With SnapshotDir, a cold start with
+//     the publisher down serves the newest fetched generation.
 type snapshots struct {
 	cfg     Config
 	log     *telemetry.Logger
 	metrics *snapstore.Metrics
 
-	store   *snapstore.Store     // nil only on a replica without SnapshotDir
-	pub     *snapstore.Publisher // /snapshot/current state, always set
+	store   *snapstore.Store
+	private string               // the store's directory when Run made it, else ""
+	pub     *snapstore.Publisher // /snapshot/current state
 	fetcher *snapstore.Fetcher   // nil without SnapshotURL
 
 	// nextGen numbers generations this daemon publishes; seeded from
@@ -66,44 +70,52 @@ type snapshots struct {
 
 // newSnapshots prepares the snapshot layer: opens the store, recovers
 // the newest valid on-disk generation (if any), and seeds the
-// generation counter. Returns nil when neither SnapshotDir nor
-// SnapshotURL is set.
-func newSnapshots(cfg Config, log *telemetry.Logger, reg *telemetry.Registry) (*snapshots, error) {
-	if cfg.SnapshotDir == "" && cfg.SnapshotURL == "" {
-		return nil, nil
-	}
+// generation counter. Without SnapshotDir the store is a fresh private
+// directory that keeps one generation, since nothing can cold-start
+// from it; the caller must close what newSnapshots returns.
+func newSnapshots(cfg Config, log *telemetry.Logger, reg *telemetry.Registry) (_ *snapshots, err error) {
 	d := &snapshots{
 		cfg:     cfg,
 		log:     log,
 		metrics: snapstore.NewMetrics(reg),
 		pub:     snapstore.NewPublisher(),
 	}
-	if cfg.SnapshotDir != "" {
-		st, err := snapstore.Open(cfg.SnapshotDir, snapstore.StoreOptions{
-			Keep:    cfg.SnapshotKeep,
-			Logger:  log,
-			Metrics: d.metrics,
-		})
-		if err != nil {
-			return nil, err
+	dir, keep := cfg.SnapshotDir, cfg.SnapshotKeep
+	if dir == "" {
+		if dir, err = os.MkdirTemp("", "leased-snapshots-*"); err != nil {
+			return nil, fmt.Errorf("private snapshot store: %w", err)
 		}
-		d.store = st
-		if gen, ok := st.NewestGeneration(); ok {
-			d.nextGen.Store(gen)
-		}
-		ld, err := st.LoadCurrentOpen(snapstore.OpenOptions{})
-		switch {
-		case err == nil:
-			if d.cold, err = d.serveOpened(ld); err != nil {
-				return nil, err
+		d.private, keep = dir, 1
+		defer func() {
+			if err != nil {
+				d.close()
 			}
-			log.Info("cold start from snapshot store", "dir", cfg.SnapshotDir,
-				"generation", ld.Gen, "inferences", ld.Snap.NumInferences(), "load_mode", ld.Snap.LoadMode())
-		case errors.Is(err, snapstore.ErrNoSnapshot):
-			log.Info("snapshot store empty, first load will run inference", "dir", cfg.SnapshotDir)
-		default:
+		}()
+	}
+	st, err := snapstore.Open(dir, snapstore.StoreOptions{
+		Keep:    keep,
+		Logger:  log,
+		Metrics: d.metrics,
+	})
+	if err != nil {
+		return nil, err
+	}
+	d.store = st
+	if gen, ok := st.NewestGeneration(); ok {
+		d.nextGen.Store(gen)
+	}
+	ld, err := st.LoadCurrentOpen(snapstore.OpenOptions{})
+	switch {
+	case err == nil:
+		if d.cold, err = d.serveOpened(ld); err != nil {
 			return nil, err
 		}
+		log.Info("cold start from snapshot store", "dir", dir,
+			"generation", ld.Gen, "inferences", ld.Snap.NumInferences(), "load_mode", ld.Snap.LoadMode())
+	case errors.Is(err, snapstore.ErrNoSnapshot):
+		log.Info("snapshot store empty, nothing to cold-start from", "dir", dir)
+	default:
+		return nil, err
 	}
 	if cfg.SnapshotURL != "" {
 		d.fetcher = snapstore.NewFetcher(cfg.SnapshotURL, snapstore.FetcherOptions{
@@ -117,9 +129,19 @@ func newSnapshots(cfg Config, log *telemetry.Logger, reg *telemetry.Registry) (*
 	return d, nil
 }
 
+// close removes a private store; a SnapshotDir outlives the process.
+// Mappings of its files stay valid after the unlink.
+func (d *snapshots) close() {
+	if d.private != "" {
+		if err := os.RemoveAll(d.private); err != nil {
+			d.log.Warn("private snapshot store not removed", "dir", d.private, "err", err)
+		}
+	}
+}
+
 // replica reports whether the daemon serves fetched snapshots instead
 // of loading a dataset.
-func (d *snapshots) replica() bool { return d != nil && d.fetcher != nil }
+func (d *snapshots) replica() bool { return d.fetcher != nil }
 
 // serveOpened is the tail of every generation a daemon serves — cold
 // start, publish and fetch alike: the opened generation's own bytes
@@ -161,9 +183,6 @@ func (d *snapshots) takeCold() *serve.Snapshot {
 // recovered at startup — O(bytes), no dataset parse, no inference —
 // and every later reload builds fresh and publishes what it built.
 func (d *snapshots) wrapBuild(build func(ctx context.Context) (*serve.Snapshot, error)) func(ctx context.Context) (*serve.Snapshot, error) {
-	if d == nil {
-		return build
-	}
 	return func(ctx context.Context) (*serve.Snapshot, error) {
 		if snap := d.takeCold(); snap != nil {
 			return snap, nil
@@ -249,30 +268,14 @@ func (d *snapshots) buildFromFetch(ctx context.Context) (*serve.Snapshot, error)
 }
 
 // fetchOpen pulls the publisher's current generation and serves it.
-// With a store, the body streams straight to a temp file in the store
-// directory (never buffered on the heap), is adopted as a generation
-// file and opened like a publisher's own — mapped, so a reload's
-// transient memory is one copy buffer whatever the snapshot size, and
-// the fetched bytes sit in the page cache once, shared by the mapping
-// and /snapshot/current. Without a store the body is decoded on the
-// heap, which re-validates every checksum.
+// The body streams straight to a temp file in the store directory
+// (never buffered on the heap), is adopted as a generation file and
+// opened like a publisher's own — mapped, so a reload's transient
+// memory is one copy buffer whatever the snapshot size, and the
+// fetched bytes sit in the page cache once, shared by the mapping and
+// /snapshot/current.
 func (d *snapshots) fetchOpen(ctx context.Context) (*serve.Snapshot, error) {
 	fetchCtx, fetchSpan := telemetry.StartSpan(ctx, "fetch")
-	if d.store == nil {
-		data, gen, err := d.fetcher.Fetch(fetchCtx)
-		fetchSpan.AddBytes(int64(len(data)))
-		fetchSpan.End()
-		if err != nil {
-			return nil, err
-		}
-		_, decodeSpan := telemetry.StartSpan(ctx, "decode")
-		snap, _, err := snapstore.Decode(data)
-		decodeSpan.End()
-		if err != nil {
-			return nil, err
-		}
-		return d.serveOpened(&snapstore.Loaded{Snap: snap, Gen: gen, Data: data})
-	}
 	tmpPath, gen, err := d.fetcher.FetchToFile(fetchCtx, d.store.Dir())
 	if err == nil {
 		if fi, serr := os.Stat(tmpPath); serr == nil {
@@ -344,7 +347,7 @@ func (d *snapshots) observeLag() {
 func (d *snapshots) replicationStatus() *serve.ReplicationStatus {
 	source := d.cfg.SnapshotURL
 	if source == "" {
-		source = d.cfg.SnapshotDir
+		source = d.store.Dir()
 	}
 	rs := &serve.ReplicationStatus{
 		Source:              source,

@@ -2,7 +2,7 @@ package daemon
 
 // End-to-end persistence and replication: a publisher daemon writing
 // binary generations to -snapshot-dir, a cold start that serves them
-// without the dataset, and a stateless replica chained off
+// without the dataset, and a replica with no dataset chained off
 // /snapshot/current that keeps serving through a publisher outage.
 
 import (
@@ -211,13 +211,12 @@ func postBody(t *testing.T, url, body string) string {
 }
 
 // TestReplicaServesAndSurvivesPublisherOutage: replicas with no
-// dataset — one store-less, one with its own store — serve the
-// publisher's snapshot byte-for-byte, re-expose it for chaining, then
-// keep serving — degraded, not down — when the publisher disappears.
-// The publisher answers from the generation it published, opened from
-// its own file like the store replica's, so all three answer alike
-// because they share the open path, not because a build and a decode
-// happen to agree.
+// dataset — one without SnapshotDir, one with its own store — serve
+// the publisher's snapshot byte-for-byte, re-expose it for chaining,
+// then keep serving — degraded, not down — when the publisher
+// disappears. Every daemon answers from a generation opened from its
+// own store file, so all three answer alike because they share the
+// open path, not because a build and a decode happen to agree.
 func TestReplicaServesAndSurvivesPublisherOutage(t *testing.T) {
 	dir := dataset(t)
 	pubSnaps := filepath.Join(t.TempDir(), "snaps")
@@ -244,7 +243,7 @@ func TestReplicaServesAndSurvivesPublisherOutage(t *testing.T) {
 
 	for _, m := range []struct{ name, base, load, reload string }{
 		{"publisher", pubBase, serve.LoadModeMmap, serve.ModeFull},
-		{"store-less replica", repBase, serve.LoadModeHeap, serve.ModeSnapshot},
+		{"store-less replica", repBase, serve.LoadModeMmap, serve.ModeSnapshot},
 		{"store replica", storeBase, serve.LoadModeMmap, serve.ModeSnapshot},
 	} {
 		if load, reload := statuszModes(t, m.base); load != m.load || reload != m.reload {
@@ -339,6 +338,62 @@ func TestReplicaServesAndSurvivesPublisherOutage(t *testing.T) {
 	_, metricsR = getBody(t, repBase+"/metrics")
 	if !strings.Contains(metricsR, `replica_fetch_total{outcome=`) {
 		t.Errorf("replica /metrics lost fetch counters during outage:\n%s", metricsR)
+	}
+}
+
+// TestDaemonsWithoutSnapshotDirServeFromPrivateStores: a publisher
+// with only a dataset still publishes /snapshot/current, a replica
+// with only a URL chains off it, both serve mapped generation files
+// and answer alike, and each private store directory is gone once its
+// Run returns.
+func TestDaemonsWithoutSnapshotDirServeFromPrivateStores(t *testing.T) {
+	dir := dataset(t)
+	// Run makes a private store with os.MkdirTemp; point that at a
+	// directory the test can list.
+	tmp := filepath.Join(t.TempDir(), "tmp")
+	if err := os.Mkdir(tmp, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	t.Setenv("TMPDIR", tmp)
+
+	ctxP, cancelP := context.WithCancel(context.Background())
+	pubBase, _, errcP := startDaemonCtx(t, ctxP, dir, Config{})
+	if gen := snapshotCurrentGen(t, pubBase); gen != "1" {
+		t.Errorf("publisher /snapshot/current generation %q, want 1", gen)
+	}
+	ctxR, cancelR := context.WithCancel(context.Background())
+	repBase, _, errcR := startDaemonCtx(t, ctxR,
+		filepath.Join(t.TempDir(), "no-dataset-here"), Config{
+			SnapshotURL: pubBase + "/snapshot/current",
+			Poll:        50 * time.Millisecond,
+		})
+
+	for _, m := range []struct{ name, base, reload string }{
+		{"publisher", pubBase, serve.ModeFull},
+		{"replica", repBase, serve.ModeSnapshot},
+	} {
+		if load, reload := statuszModes(t, m.base); load != serve.LoadModeMmap || reload != m.reload {
+			t.Errorf("%s: load_mode %q, last reload mode %q; want %q, %q", m.name, load, reload, serve.LoadModeMmap, m.reload)
+		}
+	}
+	for _, p := range []string{"/table1", "/lookup?ip=203.0.113.99", "/snapshot/current"} {
+		_, want := getBody(t, pubBase+p)
+		if _, got := getBody(t, repBase+p); got != want {
+			t.Errorf("replica %s diverged from the publisher", p)
+		}
+	}
+	ents, err := os.ReadDir(tmp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ents) != 2 {
+		t.Errorf("%d private stores while both daemons run, want 2", len(ents))
+	}
+
+	stopDaemon(t, cancelR, errcR)
+	stopDaemon(t, cancelP, errcP)
+	if ents, err = os.ReadDir(tmp); err != nil || len(ents) != 0 {
+		t.Errorf("private stores left after Run returned: %v (%v)", ents, err)
 	}
 }
 

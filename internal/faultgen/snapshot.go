@@ -1,10 +1,6 @@
 package faultgen
 
-import (
-	"math/rand"
-	"os"
-	"path/filepath"
-)
+import "math/rand"
 
 // SnapshotFault is one deterministic way to damage an encoded snapshot:
 // Apply takes the intact bytes and returns the damaged copy. Every
@@ -71,22 +67,4 @@ func SnapshotFaults(data []byte, secs []SnapshotSection) []SnapshotFault {
 		})
 	}
 	return faults
-}
-
-// CorruptManifestStale points a snapshot store's MANIFEST at a
-// generation file that does not exist — the state a crash between
-// generation rename and manifest rename can leave behind, or a manifest
-// surviving a pruned generation. A correct store treats the manifest as
-// a hint and recovers by scanning.
-func CorruptManifestStale(dir string) error {
-	return writeManifest(dir, "gen-ffffffffffffffff.snap\n")
-}
-
-// CorruptManifestGarbage fills MANIFEST with bytes that name nothing.
-func CorruptManifestGarbage(dir string) error {
-	return writeManifest(dir, "\x00\xff not a generation \xfe\x01")
-}
-
-func writeManifest(dir, content string) error {
-	return os.WriteFile(filepath.Join(dir, "MANIFEST"), []byte(content), 0o644)
 }

@@ -81,9 +81,12 @@ func (t *LPM) AppendNative(dst []byte) []byte {
 // over, so the index can never hand out a value past the arena it
 // serves. Every record
 // is validated before the index is returned — lengths, masks, host
-// bits, value range, child links (in range and strictly longer than
-// their parent), the /0 anchor, and zeroed padding —
+// bits, value range, child links (in range, strictly longer than
+// their parent, inside it and on the branch the link names), the /0
+// anchor, and zeroed padding —
 // so a damaged file fails here rather than corrupting a descent later.
+// A link that skips a level (past a node its descent should visit) is
+// not detected.
 // The stride-8 root table is always rebuilt on the heap; only the node
 // array aliases the input.
 func LPMFromNative(data []byte, maxVal int) (*LPM, error) {
@@ -147,14 +150,24 @@ func LPMFromNative(data []byte, maxVal int) (*LPM, error) {
 		if nd.val < -1 || int(nd.val) >= maxVal {
 			return nil, fmt.Errorf("netutil: native LPM node %d value %d outside [-1, %d)", i, nd.val, maxVal)
 		}
-		for _, k := range nd.kid {
+		for b, k := range nd.kid {
 			if k < -1 || int(k) >= n {
 				return nil, fmt.Errorf("netutil: native LPM node %d child index %d out of range", i, k)
 			}
+			if k < 0 {
+				continue
+			}
 			// A child strictly longer than its parent keeps every
 			// descent acyclic: at most 33 steps, whatever the links.
-			if k >= 0 && t.nodes[k].len <= nd.len {
+			kid := &t.nodes[k]
+			if kid.len <= nd.len {
 				return nil, fmt.Errorf("netutil: native LPM node %d child %d is not longer than its parent", i, k)
+			}
+			// The child must lie inside its parent, on the side of the
+			// parent's next bit that its link names, or a descent
+			// following that bit would miss it.
+			if kid.base&nd.mask != nd.base || int(kid.base>>(31-nd.len)&1) != b {
+				return nil, fmt.Errorf("netutil: native LPM node %d child %d is not on branch %d of its parent", i, k, b)
 			}
 		}
 	}

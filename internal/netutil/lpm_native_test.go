@@ -104,6 +104,14 @@ func lpmNativeDamage(good []byte, nvals int) []lpmDamage {
 			binary.LittleEndian.PutUint32(b[node(0)+4:], maskOf(1))
 			b[node(0)+20] = 1
 		}},
+		{name: "kid-wrong-branch", mutate: func(b []byte) {
+			// Acyclic and longer, but each child sits on the other side:
+			// every descent through the anchor would miss.
+			k0 := binary.LittleEndian.Uint32(b[node(0)+12:])
+			k1 := binary.LittleEndian.Uint32(b[node(0)+16:])
+			binary.LittleEndian.PutUint32(b[node(0)+12:], k1)
+			binary.LittleEndian.PutUint32(b[node(0)+16:], k0)
+		}},
 	}
 }
 

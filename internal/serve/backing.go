@@ -29,16 +29,17 @@ type Backing interface {
 // Snapshot load modes, as reported by Snapshot.LoadMode and /statusz.
 const (
 	// LoadModeBuilt marks a snapshot constructed in-process (NewSnapshot,
-	// PatchSnapshot) — heap-owned, no backing lifecycle. A daemon serves
-	// one only when it keeps no snapshot store and publishes nothing.
+	// PatchSnapshot) — heap-owned, no backing lifecycle. No daemon
+	// serves one: a publisher encodes what it built and serves the
+	// generation file it published.
 	LoadModeBuilt = "built"
 	// LoadModeHeap marks a snapshot restored from snapshot bytes held on
-	// the heap: a store-less replica's fetched body, or a store
-	// generation on a platform (or filesystem) where mapping failed.
+	// the heap: a store generation on a platform (or filesystem) where
+	// mapping failed, or bytes decoded in memory outside a daemon.
 	LoadModeHeap = "heap"
 	// LoadModeMmap marks a snapshot whose indexes are views over a
 	// memory-mapped snapshot file (a restored snapshot with a Backing):
-	// what a publisher and a replica with a store serve.
+	// what every daemon serves where mapping works.
 	LoadModeMmap = "mmap"
 )
 

@@ -43,7 +43,7 @@ type Snapshot struct {
 	// Provenance is the W3C traceparent of the reload span that built
 	// the snapshot. The Server stamps it at swap time if the builder
 	// left it empty and the reload is being traced; the snapshot codec
-	// carries it across the wire so a replica's fetch/decode/swap spans
+	// carries it across the wire so a replica's fetch/open/swap spans
 	// can link back to the publisher's reload trace. Empty when the
 	// build was untraced.
 	Provenance string

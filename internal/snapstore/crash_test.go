@@ -2,8 +2,8 @@ package snapstore
 
 // Crash safety under SIGKILL: a helper process (this test binary
 // re-exec'd) publishes generations in a tight loop and the parent kills
-// it with SIGKILL at seeded offsets — mid-write, mid-rename,
-// mid-manifest-update, wherever the clock lands. After every kill the
+// it with SIGKILL at seeded offsets — mid-write, mid-rename, mid-prune,
+// wherever the clock lands. After every kill the
 // store must cold-start: LoadCurrentOpen returns a generation that is
 // complete and byte-identical in service to the original snapshot,
 // never a torn one.
@@ -49,13 +49,13 @@ func TestCrashHelperProcess(t *testing.T) {
 		fmt.Println("HELPER-ERR", err)
 		os.Exit(2)
 	}
-	if err := st.Publish(snap, 1); err != nil {
+	if err := st.PublishEncoded(Encode(snap, 1)); err != nil {
 		fmt.Println("HELPER-ERR", err)
 		os.Exit(2)
 	}
 	fmt.Println("READY") // generation 1 is durable; the parent may now kill at will
 	for gen := uint64(2); ; gen++ {
-		if err := st.Publish(snap, gen); err != nil {
+		if err := st.PublishEncoded(Encode(snap, gen)); err != nil {
 			fmt.Println("HELPER-ERR", err)
 			os.Exit(2)
 		}

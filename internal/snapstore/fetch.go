@@ -1,7 +1,6 @@
 package snapstore
 
 import (
-	"bytes"
 	"context"
 	"encoding/binary"
 	"errors"
@@ -228,9 +227,10 @@ type FetcherOptions struct {
 
 // Fetcher pulls encoded snapshots from a Publisher URL for replica
 // serving. It remembers the last generation it delivered and fetches
-// conditionally, so steady state is one 304 per poll. Fetcher methods
-// validate every downloaded body's checksums before returning it — a
-// truncated or corrupted transfer surfaces as an error, never as bytes.
+// conditionally, so steady state is one 304 per poll. FetchToFile
+// validates every downloaded body's whole-file checksum before
+// returning it — a truncated or corrupted transfer surfaces as an
+// error, never as a file.
 //
 // Fetcher performs single attempts; retry, backoff, and the circuit
 // breaker around repeated failures belong to the serve.Server reload
@@ -278,7 +278,7 @@ func NewFetcher(url string, opts FetcherOptions) *Fetcher {
 // URL returns the publisher endpoint this fetcher polls.
 func (f *Fetcher) URL() string { return f.url }
 
-// Invalidate forgets the last delivered generation, so the next Fetch
+// Invalidate forgets the last delivered generation, so the next fetch
 // is unconditional. The replica wires SIGHUP to it: an operator-forced
 // refresh must transfer the body even if the publisher claims nothing
 // changed.
@@ -304,7 +304,7 @@ func (f *Fetcher) storeETag(etag string) {
 // outbound publisher request as a W3C traceparent header, so the
 // publisher's request tracing can link the hop to the replica's reload
 // trace. Note the replica later ADOPTS the publisher's generation trace
-// on a successful decode; the ID emitted here is recorded as the
+// on a successful open; the ID emitted here is recorded as the
 // replaced ID in that case, and joins the two error paths otherwise.
 func setTraceparent(ctx context.Context, req *http.Request) {
 	if tp := telemetry.SpanFrom(ctx).Traceparent(); tp != "" {
@@ -347,7 +347,7 @@ func (f *Fetcher) Probe(ctx context.Context) (uint64, error) {
 // get issues the conditional GET and vets the status line. A non-nil
 // response is a 200 whose body the caller must drain and close; every
 // error path has already closed it. ErrUnchanged (304) comes back as
-// an error so both body-handling callers share one status switch.
+// an error, so every non-200 status is handled in one switch.
 func (f *Fetcher) get(ctx context.Context) (*http.Response, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, f.url, nil)
 	if err != nil {
@@ -378,41 +378,6 @@ func (f *Fetcher) get(ctx context.Context) (*http.Response, error) {
 	default:
 		return nil, fmt.Errorf("snapstore: fetch %s: status %d", f.url, resp.StatusCode)
 	}
-}
-
-// observeGetErr files a get() failure under the right outcome label.
-func (f *Fetcher) observeGetErr(err error) {
-	if errors.Is(err, ErrUnchanged) {
-		f.metrics.observeFetch("unchanged")
-	} else {
-		f.metrics.observeFetch("error")
-	}
-}
-
-// Fetch downloads the current snapshot into memory, conditionally on
-// the last generation this fetcher delivered. Returns ErrUnchanged on
-// 304. The body takes the same streaming path as FetchToFile, into one
-// buffer sized from Content-Length: the byte cap is enforced,
-// replica_fetch_bytes_total counted and the whole-file checksum
-// computed while the body streams, so a lying Content-Length or an
-// oversized body is cut off mid-transfer instead of buffered whole. A
-// successful return has passed only the whole-file checksum; the
-// caller still runs the full Decode, whose per-section validation is
-// what makes a malicious or truncated body unservable.
-//
-// Replica daemons that keep an on-disk store use FetchToFile, which
-// never holds the body on the heap at all.
-func (f *Fetcher) Fetch(ctx context.Context) ([]byte, uint64, error) {
-	var buf bytes.Buffer
-	gen, n, err := f.stream(ctx, func(size int64) (io.Writer, error) {
-		buf.Grow(int(size))
-		return &buf, nil
-	})
-	if err != nil {
-		return nil, 0, err
-	}
-	f.delivered(gen, n)
-	return buf.Bytes(), gen, nil
 }
 
 // crcTailWriter streams a snapshot body to dst while computing the
@@ -492,100 +457,81 @@ func (w *crcTailWriter) finish() (uint64, *CorruptError) {
 	return gen, nil
 }
 
-// FetchToFile downloads the current snapshot by streaming the body to
-// a temp file in dir — the body never lives on the heap, so a replica
+// FetchToFile downloads the current snapshot, conditionally on the
+// last generation this fetcher delivered, by streaming the body to a
+// temp file in dir — the body never lives on the heap, so a replica
 // adopting a multi-hundred-MB generation pays one fixed copy buffer
-// instead of a transient allocation the size of the snapshot. The temp
-// file is fsynced before the path is returned and removed on every
-// error path. dir should be the replica's store directory so
-// Store.AdoptFile can rename the result into place (same filesystem)
-// and OpenFile can map it.
+// instead of a transient allocation the size of the snapshot. Returns
+// ErrUnchanged on 304. The byte cap is enforced,
+// replica_fetch_bytes_total counted and the whole-file checksum
+// computed while the body streams, so a lying Content-Length or an
+// oversized body is cut off mid-transfer. The temp file is fsynced
+// before the path is returned and removed on every error path, and
+// every failure is counted on replica_fetch_total. dir should be the
+// replica's store directory so Store.AdoptFile can rename the result
+// into place (same filesystem) and OpenFile can map it.
 //
-// As with Fetch, a successful return has passed only the whole-file
-// checksum; adoption-time OpenFile performs the per-section
-// validation.
+// A successful return has passed only the whole-file checksum;
+// adoption-time OpenFile performs the per-section validation that
+// makes a malicious or truncated body unservable.
 func (f *Fetcher) FetchToFile(ctx context.Context, dir string) (string, uint64, error) {
-	var tmp *os.File
-	gen, n, err := f.stream(ctx, func(int64) (io.Writer, error) {
-		var err error
-		tmp, err = os.CreateTemp(dir, ".fetch-*.snap")
-		return tmp, err
-	})
-	if tmp == nil {
-		return "", 0, err
-	}
-	if err == nil {
-		err = tmp.Sync()
-		if cerr := tmp.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
-			f.metrics.observeFetch("error")
-			err = fmt.Errorf("snapstore: fetch %s: fsync temp: %w", f.url, err)
-		}
-	} else {
-		tmp.Close()
-	}
-	if err != nil {
-		os.Remove(tmp.Name())
-		return "", 0, err
-	}
-	f.delivered(gen, n)
-	return tmp.Name(), gen, nil
-}
-
-// stream issues the conditional GET and copies a 200 body into the
-// writer open returns (handed the advertised Content-Length, already
-// checked against the byte cap) through a crcTailWriter. It returns
-// the body's generation and length once the whole-file checksum and
-// the header validate; every failure is counted on
-// replica_fetch_total before it returns.
-func (f *Fetcher) stream(ctx context.Context, open func(size int64) (io.Writer, error)) (uint64, int64, error) {
 	resp, err := f.get(ctx)
 	if err != nil {
-		f.observeGetErr(err)
-		return 0, 0, err
+		if errors.Is(err, ErrUnchanged) {
+			f.metrics.observeFetch("unchanged")
+		} else {
+			f.metrics.observeFetch("error")
+		}
+		return "", 0, err
 	}
 	defer func() {
 		io.Copy(io.Discard, resp.Body)
 		resp.Body.Close()
 	}()
-	size := max(resp.ContentLength, 0)
-	if size > f.maxBytes {
+	if resp.ContentLength > f.maxBytes {
 		f.metrics.observeFetch("error")
-		return 0, 0, f.errTooBig()
+		return "", 0, f.errTooBig()
 	}
-	dst, err := open(size)
+	tmp, err := os.CreateTemp(dir, ".fetch-*.snap")
 	if err != nil {
 		f.metrics.observeFetch("error")
-		return 0, 0, fmt.Errorf("snapstore: fetch %s: %w", f.url, err)
+		return "", 0, fmt.Errorf("snapstore: fetch %s: %w", f.url, err)
 	}
-	w := &crcTailWriter{dst: dst, max: f.maxBytes, onBytes: f.metrics.observeFetchBytes}
-	if _, err := io.Copy(w, resp.Body); err != nil {
-		f.metrics.observeFetch("error")
-		if errors.Is(err, errBodyTooBig) {
-			return 0, 0, f.errTooBig()
+	w := &crcTailWriter{dst: tmp, max: f.maxBytes, onBytes: f.metrics.observeFetchBytes}
+	_, err = io.Copy(w, resp.Body)
+	var gen uint64
+	outcome := "error"
+	switch {
+	case errors.Is(err, errBodyTooBig):
+		err = f.errTooBig()
+	case err != nil:
+		err = fmt.Errorf("snapstore: fetch %s: stream body: %w", f.url, err)
+	default:
+		var cerr *CorruptError
+		if gen, cerr = w.finish(); cerr != nil {
+			outcome = "corrupt"
+			f.log.Warn("fetched snapshot rejected", "url", f.url, "bytes", w.n, "err", cerr)
+			err = fmt.Errorf("snapstore: fetch %s: %w", f.url, cerr)
+		} else if err = tmp.Sync(); err != nil {
+			err = fmt.Errorf("snapstore: fetch %s: fsync temp: %w", f.url, err)
 		}
-		return 0, 0, fmt.Errorf("snapstore: fetch %s: stream body: %w", f.url, err)
 	}
-	gen, cerr := w.finish()
-	if cerr != nil {
-		f.metrics.observeFetch("corrupt")
-		f.log.Warn("fetched snapshot rejected", "url", f.url, "bytes", w.n, "err", cerr)
-		return 0, 0, fmt.Errorf("snapstore: fetch %s: %w", f.url, cerr)
+	if cerr := tmp.Close(); err == nil && cerr != nil {
+		err = fmt.Errorf("snapstore: fetch %s: close temp: %w", f.url, cerr)
 	}
-	return gen, w.n, nil
+	if err != nil {
+		f.metrics.observeFetch(outcome)
+		os.Remove(tmp.Name())
+		return "", 0, err
+	}
+	// The next fetch is conditional on the generation just delivered.
+	f.storeETag(genETag(gen))
+	f.metrics.observeFetch("ok")
+	f.metrics.observeBytes(int(w.n))
+	f.log.Info("snapshot fetched", "url", f.url, "generation", gen, "bytes", w.n)
+	return tmp.Name(), gen, nil
 }
 
 func (f *Fetcher) errTooBig() error {
 	return fmt.Errorf("snapstore: fetch %s: body exceeds %d byte cap", f.url, f.maxBytes)
-}
-
-// delivered records a fetched generation: the next fetch is
-// conditional on it.
-func (f *Fetcher) delivered(gen uint64, n int64) {
-	f.storeETag(genETag(gen))
-	f.metrics.observeFetch("ok")
-	f.metrics.observeBytes(int(n))
-	f.log.Info("snapshot fetched", "url", f.url, "generation", gen, "bytes", n)
 }

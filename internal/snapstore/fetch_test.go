@@ -5,6 +5,7 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"testing"
 	"time"
 )
@@ -52,16 +53,17 @@ func TestPublisherServesCurrentSnapshot(t *testing.T) {
 	if gen, err := f.Probe(ctx); err != nil || gen != 12 {
 		t.Fatalf("Probe = %d, %v; want 12, nil", gen, err)
 	}
-	body, gen, err := f.Fetch(ctx)
+	dir := t.TempDir()
+	path, gen, err := f.FetchToFile(ctx, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if gen != 12 || string(body) != string(data) {
+	if body := readFile(t, path); gen != 12 || string(body) != string(data) {
 		t.Fatalf("fetched gen %d, %d bytes; want 12, %d bytes identical", gen, len(body), len(data))
 	}
 
 	// Steady state: conditional fetch answers unchanged.
-	if _, _, err := f.Fetch(ctx); !errors.Is(err, ErrUnchanged) {
+	if _, _, err := f.FetchToFile(ctx, dir); !errors.Is(err, ErrUnchanged) {
 		t.Fatalf("second fetch: %v, want ErrUnchanged", err)
 	}
 
@@ -69,19 +71,41 @@ func TestPublisherServesCurrentSnapshot(t *testing.T) {
 	if err := pub.Publish(decoded(t, Encode(snap, 13))); err != nil {
 		t.Fatal(err)
 	}
-	if _, gen, err := f.Fetch(ctx); err != nil || gen != 13 {
+	if _, gen, err := f.FetchToFile(ctx, dir); err != nil || gen != 13 {
 		t.Fatalf("fetch after publish = %d, %v; want 13, nil", gen, err)
 	}
 
 	// Invalidate forces a full transfer of an unchanged generation.
 	f.Invalidate()
-	if body, gen, err := f.Fetch(ctx); err != nil || gen != 13 || len(body) == 0 {
-		t.Fatalf("forced fetch = %d bytes, gen %d, %v", len(body), gen, err)
+	path, gen, err = f.FetchToFile(ctx, dir)
+	if err != nil || gen != 13 {
+		t.Fatalf("forced fetch = gen %d, %v; want 13, nil", gen, err)
+	}
+	if body := readFile(t, path); len(body) == 0 {
+		t.Fatal("forced fetch wrote an empty body")
 	}
 }
 
-// decoded opens an encoded generation on the heap, as a store-less
-// replica does before publishing what it fetched.
+func readFile(t *testing.T, path string) []byte {
+	t.Helper()
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// assertEmptyDir fails unless dir holds nothing: a refused fetch must
+// not leave its temp file behind.
+func assertEmptyDir(t *testing.T, dir string) {
+	t.Helper()
+	if ents, err := os.ReadDir(dir); err != nil || len(ents) != 0 {
+		t.Fatalf("%s holds %d entries after a refused fetch (%v)", dir, len(ents), err)
+	}
+}
+
+// decoded opens an encoded generation on the heap, as OpenFile does
+// where the platform cannot map it.
 func decoded(t *testing.T, data []byte) *Loaded {
 	t.Helper()
 	snap, gen, err := Decode(data)
@@ -102,9 +126,11 @@ func TestFetcherRejectsCorruptBody(t *testing.T) {
 	defer srv.Close()
 
 	f := NewFetcher(srv.URL, FetcherOptions{})
-	if _, _, err := f.Fetch(context.Background()); !errors.Is(err, ErrCorrupt) {
+	dir := t.TempDir()
+	if _, _, err := f.FetchToFile(context.Background(), dir); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("corrupt body fetch: %v, want ErrCorrupt", err)
 	}
+	assertEmptyDir(t, dir)
 }
 
 func TestFetcherBoundsBodySize(t *testing.T) {
@@ -116,9 +142,11 @@ func TestFetcherBoundsBodySize(t *testing.T) {
 	defer srv.Close()
 
 	f := NewFetcher(srv.URL, FetcherOptions{MaxBytes: 128})
-	if _, _, err := f.Fetch(context.Background()); err == nil {
+	dir := t.TempDir()
+	if _, _, err := f.FetchToFile(context.Background(), dir); err == nil {
 		t.Fatal("oversized body accepted")
 	}
+	assertEmptyDir(t, dir)
 }
 
 func TestFetcherReportsUnreachablePublisher(t *testing.T) {
@@ -127,7 +155,7 @@ func TestFetcherReportsUnreachablePublisher(t *testing.T) {
 	srv.Close() // connection refused from here on
 
 	f := NewFetcher(url, FetcherOptions{})
-	if _, _, err := f.Fetch(context.Background()); err == nil {
+	if _, _, err := f.FetchToFile(context.Background(), t.TempDir()); err == nil {
 		t.Fatal("fetch from dead publisher succeeded")
 	}
 	if _, err := f.Probe(context.Background()); err == nil {
@@ -140,7 +168,7 @@ func TestFetcherNotPublished(t *testing.T) {
 	srv := httptest.NewServer(pub)
 	defer srv.Close()
 	f := NewFetcher(srv.URL, FetcherOptions{})
-	if _, _, err := f.Fetch(context.Background()); !errors.Is(err, ErrNotPublished) {
+	if _, _, err := f.FetchToFile(context.Background(), t.TempDir()); !errors.Is(err, ErrNotPublished) {
 		t.Fatalf("fetch before publish: %v, want ErrNotPublished", err)
 	}
 	if _, err := f.Probe(context.Background()); !errors.Is(err, ErrNotPublished) {
@@ -189,7 +217,7 @@ func TestFetcherHonorsRetryAfterSeconds(t *testing.T) {
 	defer srv.Close()
 	f := NewFetcher(srv.URL, FetcherOptions{RetryAfterCap: time.Minute})
 
-	_, _, err := f.Fetch(context.Background())
+	_, _, err := f.FetchToFile(context.Background(), t.TempDir())
 	if !errors.Is(err, ErrNotPublished) {
 		t.Fatalf("fetch: %v, want ErrNotPublished underneath", err)
 	}
@@ -213,7 +241,7 @@ func TestFetcherHonorsRetryAfterHTTPDate(t *testing.T) {
 	f.now = func() time.Time { return now }
 
 	var ra *RetryAfterError
-	if _, _, err := f.Fetch(context.Background()); !errors.As(err, &ra) {
+	if _, _, err := f.FetchToFile(context.Background(), t.TempDir()); !errors.As(err, &ra) {
 		t.Fatalf("fetch error %v does not carry RetryAfterError", err)
 	} else if ra.After != 9*time.Second {
 		t.Fatalf("After = %v, want 9s", ra.After)
@@ -226,7 +254,7 @@ func TestFetcherCapsRetryAfter(t *testing.T) {
 	f := NewFetcher(srv.URL, FetcherOptions{RetryAfterCap: 15 * time.Second})
 
 	var ra *RetryAfterError
-	if _, _, err := f.Fetch(context.Background()); !errors.As(err, &ra) {
+	if _, _, err := f.FetchToFile(context.Background(), t.TempDir()); !errors.As(err, &ra) {
 		t.Fatalf("fetch error does not carry RetryAfterError")
 	} else if ra.After != 15*time.Second {
 		t.Fatalf("After = %v, want capped 15s", ra.After)
@@ -239,7 +267,7 @@ func TestFetcherNoRetryAfterHeaderNoWrap(t *testing.T) {
 	f := NewFetcher(srv.URL, FetcherOptions{})
 
 	var ra *RetryAfterError
-	if _, _, err := f.Fetch(context.Background()); errors.As(err, &ra) {
+	if _, _, err := f.FetchToFile(context.Background(), t.TempDir()); errors.As(err, &ra) {
 		t.Fatalf("bare 503 wrapped in RetryAfterError: %v", err)
 	} else if !errors.Is(err, ErrNotPublished) {
 		t.Fatalf("fetch: %v, want ErrNotPublished", err)

@@ -2,7 +2,7 @@
 // checksummed binary format that encodes a *serve.Snapshot's flat
 // serving indexes directly (no re-inference on load), a crash-safe
 // on-disk store with atomic generation publication, and an HTTP
-// publisher/fetcher pair for stateless replica serving.
+// publisher/fetcher pair for replicas that serve without a dataset.
 //
 // The format is paranoid by construction. Every section carries its own
 // CRC-32C and the file carries a whole-file CRC-32C, so a torn write, a

@@ -10,15 +10,8 @@ import (
 	"strconv"
 	"strings"
 
-	"ipleasing/internal/serve"
 	"ipleasing/internal/telemetry"
 )
-
-// manifestName is the pointer file naming the current generation. It is
-// a hint, not the source of truth: recovery scans every generation file
-// and validates contents, so a torn or stale manifest costs at most a
-// few extra decode attempts, never a wrong snapshot.
-const manifestName = "MANIFEST"
 
 // ErrNoSnapshot reports a store directory holding no loadable
 // generation — empty, or every candidate rejected as corrupt.
@@ -124,11 +117,12 @@ type StoreOptions struct {
 }
 
 // Store is a crash-safe on-disk snapshot store: one directory holding
-// generation files gen-<hex>.snap plus a MANIFEST pointer. Publication
+// generation files gen-<hex>.snap and nothing else it reads. Publication
 // is write-temp / fsync / rename / fsync-dir, so a generation either
 // exists completely or not at all; a crash at any instant leaves the
 // previous generations untouched and recovery scans newest-first past
-// anything torn.
+// anything torn. Other files in the directory (stray temps, a pointer
+// file an older build wrote) are ignored and never pruned.
 type Store struct {
 	dir     string
 	keep    int
@@ -170,21 +164,15 @@ func parseGenName(name string) (uint64, bool) {
 	return gen, true
 }
 
-// Publish encodes a serving snapshot as generation gen and durably
-// publishes it.
-func (st *Store) Publish(snap *serve.Snapshot, gen uint64) error {
-	return st.PublishEncoded(Encode(snap, gen))
-}
-
 // Path returns the file generation gen is stored in.
 func (st *Store) Path(gen uint64) string { return filepath.Join(st.dir, genFileName(gen)) }
 
 // PublishEncoded durably publishes an already-encoded snapshot under
 // the generation stamped in its header: validate, write to a temp file
 // and fsync it, then take AdoptFile's path into place. A crash between
-// any two steps leaves the store loadable — at worst the new generation
-// exists without a manifest pointing at it, which recovery's scan finds
-// anyway. The generation file is Path(gen).
+// any two steps leaves the store loadable — at worst a temp file is
+// left behind, which recovery's scan ignores. The generation file is
+// Path(gen).
 //
 // The validation is a whole-file CRC pass over bytes that Encode may
 // have produced a moment before, and it stays: the store must never
@@ -230,16 +218,6 @@ func (st *Store) writeTemp(name string, data []byte) (string, error) {
 		return "", err
 	}
 	return tmp, nil
-}
-
-// writeAtomic writes name under the store directory via a unique temp
-// file, fsync, and atomic rename.
-func (st *Store) writeAtomic(name string, data []byte) error {
-	tmp, err := st.writeTemp(name, data)
-	if err != nil {
-		return err
-	}
-	return st.rename(tmp, name)
 }
 
 // rename moves tmp into place as name, then fsyncs the directory so the
@@ -369,26 +347,21 @@ func (st *Store) LoadCurrentOpen(opts OpenOptions) (*Loaded, error) {
 }
 
 // AdoptFile durably adopts an already-written snapshot file as
-// generation gen: rename into place, fsync the directory, repoint
-// MANIFEST, prune. It is the tail of every publish — PublishEncoded
-// after writing the encoded bytes, a replica after FetchToFile streamed
-// a body to disk. The rename requires tmpPath to be on the store's
-// filesystem (FetchToFile writes its temp inside the store directory
-// for exactly this reason), and the caller must have fsynced the file
-// and verified its checksums. On failure tmpPath is gone or already in
-// place; either way the caller has nothing to clean up. The adopted
-// file is Path(gen).
+// generation gen: rename into place, fsync the directory, prune. It is
+// the tail of every publish — PublishEncoded after writing the encoded
+// bytes, a replica after FetchToFile streamed a body to disk. The
+// rename requires tmpPath to be on the store's filesystem (FetchToFile
+// writes its temp inside the store directory for exactly this reason),
+// and the caller must have fsynced the file and verified its
+// checksums. On failure tmpPath is gone or already in place; either
+// way the caller has nothing to clean up. The adopted file is
+// Path(gen).
 func (st *Store) AdoptFile(tmpPath string, gen uint64) error {
 	name := genFileName(gen)
 	if err := st.rename(tmpPath, name); err != nil {
 		st.metrics.observePublish("error")
 		st.log.Error("snapshot publish failed", "generation", gen, "err", err)
 		return err
-	}
-	// The generation file is durable; a manifest failure from here on
-	// degrades recovery to the scan path but must not fail the publish.
-	if err := st.writeAtomic(manifestName, []byte(name+"\n")); err != nil {
-		st.log.Warn("snapshot manifest update failed", "generation", gen, "err", err)
 	}
 	st.prune(gen)
 	st.metrics.observePublish("ok")

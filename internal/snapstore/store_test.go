@@ -4,6 +4,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"ipleasing/internal/telemetry"
@@ -25,10 +26,10 @@ func TestStorePublishLoadRoundTrip(t *testing.T) {
 	if _, err := st.LoadCurrentOpen(OpenOptions{}); !errors.Is(err, ErrNoSnapshot) {
 		t.Fatalf("empty store: %v, want ErrNoSnapshot", err)
 	}
-	if err := st.Publish(snap, 1); err != nil {
+	if err := st.PublishEncoded(Encode(snap, 1)); err != nil {
 		t.Fatal(err)
 	}
-	if err := st.Publish(snap, 2); err != nil {
+	if err := st.PublishEncoded(Encode(snap, 2)); err != nil {
 		t.Fatal(err)
 	}
 
@@ -45,22 +46,18 @@ func TestStorePublishLoadRoundTrip(t *testing.T) {
 	if newest, ok := st.NewestGeneration(); !ok || newest != 2 {
 		t.Fatalf("NewestGeneration = %d, %v; want 2, true", newest, ok)
 	}
-	manifest, err := os.ReadFile(filepath.Join(st.Dir(), "MANIFEST"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(manifest) != "gen-0000000000000002.snap\n" {
-		t.Fatalf("MANIFEST = %q", manifest)
-	}
-	// No temp litter after successful publishes.
+	// The store is its generation files: no temp litter, no pointer
+	// file beside them.
 	ents, err := os.ReadDir(st.Dir())
 	if err != nil {
 		t.Fatal(err)
 	}
+	var names []string
 	for _, e := range ents {
-		if _, ok := parseGenName(e.Name()); !ok && e.Name() != "MANIFEST" {
-			t.Fatalf("unexpected file %q in store", e.Name())
-		}
+		names = append(names, e.Name())
+	}
+	if want := []string{genFileName(1), genFileName(2)}; !slices.Equal(names, want) {
+		t.Fatalf("store holds %q, want exactly %q", names, want)
 	}
 }
 
@@ -68,7 +65,7 @@ func TestStoreRetention(t *testing.T) {
 	snap := testSnapshot(t)
 	st := openTestStore(t, StoreOptions{Keep: 2})
 	for gen := uint64(1); gen <= 5; gen++ {
-		if err := st.Publish(snap, gen); err != nil {
+		if err := st.PublishEncoded(Encode(snap, gen)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -114,7 +111,7 @@ func TestStoreSkipsLegacyVersion(t *testing.T) {
 	t.Run("over-intact", func(t *testing.T) {
 		m := NewMetrics(telemetry.NewRegistry())
 		st := openTestStore(t, StoreOptions{Metrics: m})
-		if err := st.Publish(snap, 1); err != nil {
+		if err := st.PublishEncoded(Encode(snap, 1)); err != nil {
 			t.Fatal(err)
 		}
 		writeGen(st, 2, legacy)
@@ -164,7 +161,7 @@ func TestStoreMetricsOutcomes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := st.Publish(snap, 1); err != nil {
+	if err := st.PublishEncoded(Encode(snap, 1)); err != nil {
 		t.Fatal(err)
 	}
 	st.PublishEncoded([]byte("junk")) // counted as error

@@ -1,5 +1,5 @@
 #!/bin/sh
-# Full verification gate: vet, build, the test suite under the race
+# Full verification gate: gofmt, vet, build, the test suite under the race
 # detector, then the benchmark gate (cmd/benchgate), which checks every
 # committed BENCH_*.json baseline and absolute bound.
 # Usage: scripts/check.sh [-quick]
@@ -11,6 +11,14 @@ cd "$(dirname "$0")/.."
 
 quick=0
 [ "${1:-}" = "-quick" ] && quick=1
+
+echo "== gofmt -l ."
+unformatted=$(gofmt -l .)
+if [ -n "$unformatted" ]; then
+	echo "gofmt: these files need formatting:" >&2
+	echo "$unformatted" >&2
+	exit 1
+fi
 
 echo "== go vet ./..."
 go vet ./...
@@ -35,12 +43,13 @@ else
 	# request limiter (serve), the worker pool (par), the load-diagnostics
 	# collector (diag), the metrics registry and tracing plane
 	# (telemetry), mapping lifetimes and the SIGKILL matrix (snapstore),
-	# the fault proxy and load generator (chaos, loadgen), the live fleet
-	# storms (leasestorm), and the delta path's shared segment slices and
-	# the snapshot fault matrix (the root package).
+	# the daemon's cold snapshot, serving generation and poll loop
+	# (daemon), the fault proxy and load generator (chaos, loadgen), the
+	# live fleet storms (leasestorm), and the delta path's shared segment
+	# slices and the snapshot fault matrix (the root package).
 	echo "== go test -race (race-gated packages)"
 	go test -race . ./internal/serve ./internal/par ./internal/diag ./internal/telemetry \
-		./internal/snapstore ./internal/chaos ./internal/loadgen ./cmd/leasestorm
+		./internal/snapstore ./internal/daemon ./internal/chaos ./internal/loadgen ./cmd/leasestorm
 fi
 
 # Shard-scaling display run: same benchmark at 1, 4, and 8 workers.

@@ -2,10 +2,9 @@ package ipleasing
 
 // Snapshot-store fault injection: the faultgen damage matrix (tail
 // truncation, per-section bit flips, checksum flips, garbage and empty
-// files, manifest rot) applied to a live store, asserting the paranoid
-// loading contract — a damaged generation is never served, recovery
-// falls back generation by generation, and a wrecked manifest changes
-// nothing.
+// files) applied to a live store, asserting the paranoid loading
+// contract — a damaged generation is never served, recovery falls back
+// generation by generation, and a leftover MANIFEST changes nothing.
 
 import (
 	"errors"
@@ -152,32 +151,55 @@ func TestStoreFallsBackThroughFaultMatrix(t *testing.T) {
 	}
 }
 
-// TestStoreSurvivesManifestRot: stale and garbage manifests are hints
-// the scan overrides.
+// TestStoreSurvivesManifestRot: the store keeps no pointer file, so a
+// MANIFEST an older build left in the directory — naming a generation
+// that does not exist, holding garbage, or gone — is ignored by
+// recovery's scan and left alone by prune.
 func TestStoreSurvivesManifestRot(t *testing.T) {
 	snap, st := storeFixture(t)
-	if err := st.Publish(snap, 7); err != nil {
+	gen := uint64(7)
+	if err := st.PublishEncoded(snapstore.Encode(snap, gen)); err != nil {
 		t.Fatal(err)
 	}
-	for _, damage := range []struct {
-		name  string
-		apply func(dir string) error
+	manifest := filepath.Join(st.Dir(), "MANIFEST")
+	for _, leftover := range []struct {
+		name    string
+		content string // "" removes the file
 	}{
-		{"stale", faultgen.CorruptManifestStale},
-		{"garbage", faultgen.CorruptManifestGarbage},
-		{"missing", func(dir string) error { return os.Remove(filepath.Join(dir, "MANIFEST")) }},
+		{"stale", "gen-ffffffffffffffff.snap\n"},
+		{"garbage", "\x00\xff not a generation \xfe\x01"},
+		{"missing", ""},
 	} {
-		t.Run(damage.name, func(t *testing.T) {
-			if err := damage.apply(st.Dir()); err != nil {
+		t.Run(leftover.name, func(t *testing.T) {
+			var err error
+			if leftover.content == "" {
+				err = os.Remove(manifest)
+			} else {
+				err = os.WriteFile(manifest, []byte(leftover.content), 0o644)
+			}
+			if err != nil {
 				t.Fatal(err)
 			}
 			ld, err := st.LoadCurrentOpen(snapstore.OpenOptions{})
 			if err != nil {
-				t.Fatalf("LoadCurrentOpen with %s manifest: %v", damage.name, err)
+				t.Fatalf("LoadCurrentOpen beside a %s MANIFEST: %v", leftover.name, err)
 			}
 			ld.Snap.Release()
-			if ld.Gen != 7 {
-				t.Fatalf("served generation %d, want 7", ld.Gen)
+			if ld.Gen != gen {
+				t.Fatalf("served generation %d, want %d", ld.Gen, gen)
+			}
+			// A publish prunes generations, never the leftover.
+			gen++
+			if err := st.PublishEncoded(snapstore.Encode(snap, gen)); err != nil {
+				t.Fatal(err)
+			}
+			got, err := os.ReadFile(manifest)
+			if leftover.content == "" {
+				if !os.IsNotExist(err) {
+					t.Fatalf("a publish created a MANIFEST (%q, %v)", got, err)
+				}
+			} else if err != nil || string(got) != leftover.content {
+				t.Fatalf("MANIFEST after publish = %q, %v; want the leftover untouched", got, err)
 			}
 		})
 	}

@@ -74,7 +74,7 @@ func TestColdStartRunsZeroInference(t *testing.T) {
 	}
 	snap := serve.NewSnapshot(res, sum.Reports, sum.SkippedAnalyses)
 	snap.Dir = dir
-	if err := st.Publish(snap, 9); err != nil {
+	if err := st.PublishEncoded(snapstore.Encode(snap, 9)); err != nil {
 		t.Fatal(err)
 	}
 
