@@ -534,8 +534,8 @@ func BenchmarkSnapshotColdStart(b *testing.B) {
 // BenchmarkSnapshotMmapColdStart measures the zero-copy restart path:
 // map the newest generation, verify every section checksum, and wrap
 // the mapped bytes as serving views — no per-record decode, strings and
-// index arrays alias the page cache. cmd/benchgate gates this at 5x the
-// ns/op and 50x the allocs/op of the pre-v3 heap cold start.
+// index arrays alias the page cache. cmd/benchgate gates this at 1/40
+// the ns/op and 1/2000 the allocs/op of BenchmarkFullReload.
 func BenchmarkSnapshotMmapColdStart(b *testing.B) {
 	benchSnapshotSetup(b)
 	path := filepath.Join(benchSnap.dir, genName(1))

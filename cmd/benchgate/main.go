@@ -91,17 +91,16 @@ var suites = []suite{
 		runs: []run{
 			{".", []string{"BenchmarkSnapshotEncode", "BenchmarkSnapshotDecode", "BenchmarkSnapshotColdStart", "BenchmarkSnapshotMmapColdStart"}, "1s", 5},
 		},
-		// The mmap comparators are the committed v2 decode-everything
-		// cold start (11,706,907 ns, 54,509 allocs), pinned: the live heap
-		// benches have since got faster, and a gate against a moving
-		// comparator would silently relax.
+		// The mapped open is held against the full reload it replaces,
+		// at ratios that put its bounds at the committed BenchmarkFullReload
+		// row (47.8 ms, 114,268 allocs) at 1.2 ms and 57 allocs.
 		gates: []gate{
 			{"BenchmarkSnapshotColdStart", nsOp, 5, "BenchmarkFullReload", 1,
 				"a cold start from the snapshot store is at least 5x faster than the full reload it replaces"},
-			{"BenchmarkSnapshotMmapColdStart", nsOp, 5, "", 11706907,
-				"a mapped open is at least 5x faster than the v2 heap cold start"},
-			{"BenchmarkSnapshotMmapColdStart", allocsOp, 50, "", 54509,
-				"a mapped open allocates at least 50x less than the v2 heap cold start"},
+			{"BenchmarkSnapshotMmapColdStart", nsOp, 40, "BenchmarkFullReload", 1,
+				"a mapped open is at least 40x faster than the full reload it replaces"},
+			{"BenchmarkSnapshotMmapColdStart", allocsOp, 2000, "BenchmarkFullReload", 1,
+				"a mapped open allocates at least 2000x less than the full reload it replaces"},
 		},
 	},
 	{

@@ -151,8 +151,9 @@ func TestMissingFreshRowFails(t *testing.T) {
 		t.Errorf("missing fresh row passed: %s", v.msg)
 	}
 	delete(results, "BenchmarkFullReload")
-	for _, prefix := range []string{"BenchmarkDeltaReload", "BenchmarkServingReload", "BenchmarkSnapshotColdStart"} {
-		if v := verdictFor(t, check(baselines(t), results), "gate "+prefix+" "); v.ok {
+	for _, prefix := range []string{"BenchmarkDeltaReload ", "BenchmarkServingReload ", "BenchmarkSnapshotColdStart ",
+		"BenchmarkSnapshotMmapColdStart ns/op:", "BenchmarkSnapshotMmapColdStart allocs/op:"} {
+		if v := verdictFor(t, check(baselines(t), results), "gate "+prefix); v.ok {
 			t.Errorf("gate against a missing comparator passed: %s", v.msg)
 		}
 	}
@@ -180,14 +181,14 @@ func TestAbsoluteGates(t *testing.T) {
 		{"BenchmarkSnapshotColdStart ns/op",
 			"BenchmarkSnapshotColdStart 357 18269863 ns/op 4700688 B/op 54 allocs/op",
 			"BenchmarkSnapshotColdStart 357 18269864 ns/op 4700688 B/op 54 allocs/op"},
-		// 11706907 / 5 = 2341381.4.
+		// Full reload 91349319 ns: / 40 = 2283732.975.
 		{"BenchmarkSnapshotMmapColdStart ns/op",
-			"BenchmarkSnapshotMmapColdStart 1202 2341381 ns/op 227105 B/op 48 allocs/op",
-			"BenchmarkSnapshotMmapColdStart 1202 2341382 ns/op 227105 B/op 48 allocs/op"},
-		// 54509 / 50 = 1090.18.
+			"BenchmarkSnapshotMmapColdStart 1202 2283732 ns/op 227105 B/op 48 allocs/op",
+			"BenchmarkSnapshotMmapColdStart 1202 2283733 ns/op 227105 B/op 48 allocs/op"},
+		// Full reload 174033 allocs: / 2000 = 87.0165.
 		{"BenchmarkSnapshotMmapColdStart allocs/op",
-			"BenchmarkSnapshotMmapColdStart 1202 1138698 ns/op 227105 B/op 1090 allocs/op",
-			"BenchmarkSnapshotMmapColdStart 1202 1138698 ns/op 227105 B/op 1091 allocs/op"},
+			"BenchmarkSnapshotMmapColdStart 1202 1138698 ns/op 227105 B/op 87 allocs/op",
+			"BenchmarkSnapshotMmapColdStart 1202 1138698 ns/op 227105 B/op 88 allocs/op"},
 		{"BenchmarkLookupAddr allocs/op",
 			"BenchmarkLookupAddr 2000000 42.42 ns/op 0 B/op 0 allocs/op",
 			"BenchmarkLookupAddr 2000000 42.42 ns/op 16 B/op 1 allocs/op"},

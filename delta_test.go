@@ -11,6 +11,7 @@ package ipleasing
 import (
 	"context"
 	"fmt"
+	"reflect"
 	"runtime"
 	"testing"
 
@@ -93,11 +94,10 @@ func snapshotProbe(t *testing.T, label string, got, want *serve.Snapshot) {
 // nothing.
 func checkASNOracle(t *testing.T, label string, snap *serve.Snapshot) {
 	t.Helper()
-	infs := snap.FlatInferences()
 	oracle := map[uint32][]int{}
 	var maxASN uint32
-	for i := range infs {
-		for _, asn := range infs[i].LeafOrigins {
+	for i := 0; i < snap.NumInferences(); i++ {
+		for _, asn := range snap.Inference(i).LeafOrigins {
 			oracle[asn] = append(oracle[asn], i)
 			maxASN = max(maxASN, asn)
 		}
@@ -108,8 +108,8 @@ func checkASNOracle(t *testing.T, label string, snap *serve.Snapshot) {
 			t.Fatalf("%s: ASN %d lists %d inferences, oracle says %d", label, asn, len(list), len(idxs))
 		}
 		for k, inf := range list {
-			if inf != &infs[idxs[k]] {
-				t.Fatalf("%s: ASN %d listing entry %d is not arena slot %d", label, asn, k, idxs[k])
+			if !reflect.DeepEqual(inf, snap.Inference(idxs[k])) {
+				t.Fatalf("%s: ASN %d listing entry %d is not record %d", label, asn, k, idxs[k])
 			}
 		}
 	}

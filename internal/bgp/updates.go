@@ -9,37 +9,16 @@ import (
 	"ipleasing/internal/netutil"
 )
 
-// RemoveRoute withdraws one origin's announcement of p. When the last
-// origin disappears the prefix leaves the table. It reports whether the
-// route was present.
-func (t *Table) RemoveRoute(p netutil.Prefix, origin uint32) bool {
-	p = p.Canonicalize()
-	os, ok := t.tree.Get(p)
-	if !ok {
-		return false
-	}
-	n, had := os.counts[origin]
-	if !had {
-		return false
-	}
-	if n > 1 {
-		os.counts[origin] = n - 1
-	} else {
-		delete(os.counts, origin)
-	}
-	if len(os.counts) == 0 {
-		t.tree.Delete(p)
-	}
-	return true
-}
-
 // Withdraw removes every origin's announcement of p, reporting whether
-// the prefix was in the table.
+// the prefix was in the table. Like AddRoute it drops the frozen state,
+// so the table-wide caches (RoutedAddressSpace) are recomputed until
+// the next Freeze.
 func (t *Table) Withdraw(p netutil.Prefix) bool {
 	p = p.Canonicalize()
 	if _, ok := t.tree.Get(p); !ok {
 		return false
 	}
+	t.frozen = false
 	return t.tree.Delete(p)
 }
 

@@ -10,36 +10,42 @@ import (
 	"ipleasing/internal/netutil"
 )
 
-func TestRemoveRouteAndWithdraw(t *testing.T) {
+func TestWithdraw(t *testing.T) {
 	var tbl Table
-	tbl.AddRoute(mp("10.0.0.0/8"), 1)
-	tbl.AddRoute(mp("10.0.0.0/8"), 1) // seen twice
-	tbl.AddRoute(mp("10.0.0.0/8"), 2)
-
-	if !tbl.RemoveRoute(mp("10.0.0.0/8"), 1) {
-		t.Fatal("remove failed")
-	}
-	if got := tbl.Origins(mp("10.0.0.0/8")); len(got) != 2 {
-		t.Fatalf("after one removal origins = %v (count should drop, origin stay)", got)
-	}
-	tbl.RemoveRoute(mp("10.0.0.0/8"), 1)
-	if got := tbl.Origins(mp("10.0.0.0/8")); len(got) != 1 || got[0] != 2 {
-		t.Fatalf("origins = %v", got)
-	}
-	if tbl.RemoveRoute(mp("10.0.0.0/8"), 1) {
-		t.Fatal("removing absent origin succeeded")
-	}
-	tbl.RemoveRoute(mp("10.0.0.0/8"), 2)
-	if tbl.HasPrefix(mp("10.0.0.0/8")) || tbl.NumPrefixes() != 0 {
-		t.Fatal("prefix should leave the table with its last origin")
-	}
-
 	tbl.AddRoute(mp("192.0.2.0/24"), 5)
 	if !tbl.Withdraw(mp("192.0.2.0/24")) || tbl.HasPrefix(mp("192.0.2.0/24")) {
 		t.Fatal("withdraw failed")
 	}
 	if tbl.Withdraw(mp("192.0.2.0/24")) {
 		t.Fatal("double withdraw succeeded")
+	}
+}
+
+// TestWithdrawOnFrozenTable: a withdrawal after Freeze must not leave
+// the frozen table-wide cache answering for the old route set.
+func TestWithdrawOnFrozenTable(t *testing.T) {
+	var tbl Table
+	tbl.AddRoute(mp("10.0.0.0/8"), 1)
+	tbl.AddRoute(mp("192.0.2.0/24"), 2)
+	tbl.Freeze()
+	if got := tbl.RoutedAddressSpace(); got != 1<<24+256 {
+		t.Fatalf("frozen routed space = %d, want %d", got, 1<<24+256)
+	}
+	if !tbl.Withdraw(mp("10.0.0.0/8")) {
+		t.Fatal("withdraw of an announced prefix failed")
+	}
+	if got := tbl.RoutedAddressSpace(); got != 256 {
+		t.Errorf("routed space after withdraw = %d, want 256", got)
+	}
+	if got := tbl.Origins(mp("10.0.0.0/8")); got != nil {
+		t.Errorf("withdrawn prefix still has origins %v", got)
+	}
+	if got := tbl.Origins(mp("192.0.2.0/24")); len(got) != 1 || got[0] != 2 {
+		t.Errorf("surviving prefix origins = %v, want [2]", got)
+	}
+	tbl.Freeze()
+	if got := tbl.RoutedAddressSpace(); got != 256 {
+		t.Errorf("routed space after re-freeze = %d, want 256", got)
 	}
 }
 

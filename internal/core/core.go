@@ -10,7 +10,6 @@ package core
 
 import (
 	"context"
-	"fmt"
 	"runtime"
 	"sort"
 	"strconv"
@@ -425,75 +424,8 @@ func (r *Result) Flat() []Inference {
 }
 
 // NumCategories is the category count, exported for callers that tally
-// categories while streaming an arena (the snapshot restore path).
+// categories (the serving layer's record validation).
 const NumCategories = int(numCategories)
-
-// RegionRun is one registry's contiguous slice of a flat arena plus
-// its pre-tallied category counts — the by-product a single decoding
-// pass over the arena can hand to ResultFromRuns so reconstructing a
-// Result does not have to walk the (multi-megabyte) arena a second
-// time.
-type RegionRun struct {
-	Registry whois.Registry
-	Lo, Hi   int
-	Counts   [numCategories]int
-}
-
-// ResultFromRuns reconstructs a Result from a flat inference arena in
-// All order (registry runs in whois.Registries order, prefixes ordered
-// within each run) without re-running any classification, for callers
-// that already walked the arena once and tallied runs and category
-// counts along the way: region slices alias contiguous runs of the
-// arena, and per-region leaf totals derive from the counts. This is
-// the cold-start path of the snapshot store — a decoded arena becomes a
-// servable Result with no second pass. totalBGP and routedSpace restore
-// the Table-1 denominators the arena itself does not carry.
-//
-// The runs' structure is validated, not trusted: they must tile the
-// arena gaplessly, registries must be known and in canonical order,
-// and each run must be non-empty — but the per-record registry and
-// category bytes are the caller's to have checked during its pass
-// (snapshot restore rejects them record by record). Counts are trusted
-// from the caller's tally; they never index memory, so a wrong tally
-// can misreport Table 1 but never corrupt the process.
-func ResultFromRuns(flat []Inference, runs []RegionRun, totalBGP int, routedSpace uint64) (*Result, error) {
-	res := &Result{
-		Regions:          make(map[whois.Registry]*RegionResult),
-		TotalBGPPrefixes: totalBGP,
-		RoutedSpace:      routedSpace,
-		flat:             flat,
-	}
-	regPos := make(map[whois.Registry]int, len(whois.Registries))
-	for i, reg := range whois.Registries {
-		regPos[reg] = i
-	}
-	lastPos, next := -1, 0
-	for _, run := range runs {
-		if run.Lo != next || run.Hi <= run.Lo || run.Hi > len(flat) {
-			return nil, fmt.Errorf("core: region run [%d,%d) does not tile the arena at %d", run.Lo, run.Hi, next)
-		}
-		pos, ok := regPos[run.Registry]
-		if !ok {
-			return nil, fmt.Errorf("core: arena entry %d has unknown registry %d", run.Lo, int(run.Registry))
-		}
-		if pos <= lastPos {
-			return nil, fmt.Errorf("core: arena registry runs out of order at entry %d (%v)", run.Lo, run.Registry)
-		}
-		lastPos = pos
-		rr := &RegionResult{
-			Registry:   run.Registry,
-			Inferences: flat[run.Lo:run.Hi:run.Hi],
-			Counts:     run.Counts,
-		}
-		rr.TotalLeaves = (run.Hi - run.Lo) - run.Counts[Orphan]
-		res.Regions[run.Registry] = rr
-		next = run.Hi
-	}
-	if next != len(flat) {
-		return nil, fmt.Errorf("core: region runs cover %d of %d arena entries", next, len(flat))
-	}
-	return res, nil
-}
 
 // LeasedInferences returns only the leased inferences.
 func (r *Result) LeasedInferences() []Inference {

@@ -79,8 +79,8 @@ func originASN(t *testing.T, dir string) string {
 		t.Fatal(err)
 	}
 	defer ld.Snap.Release()
-	for _, inf := range ld.Snap.FlatInferences() {
-		if len(inf.LeafOrigins) > 0 {
+	for i := 0; i < ld.Snap.NumInferences(); i++ {
+		if inf := ld.Snap.Inference(i); len(inf.LeafOrigins) > 0 {
 			return strconv.FormatUint(uint64(inf.LeafOrigins[0]), 10)
 		}
 	}

@@ -3,6 +3,7 @@ package netutil
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"unsafe"
 )
 
@@ -54,6 +55,7 @@ func nativeLayoutMatches() bool {
 //	u8  dups, 3 zero pad
 //	node count × (u32 base, u32 mask, i32 val, i32 kid0, i32 kid1, u8 len, 3 zero pad)
 func (t *LPM) AppendNative(dst []byte) []byte {
+	dst = slices.Grow(dst, lpmNativeHeaderSize+len(t.nodes)*lpmNativeNodeSize)
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(t.nodes)))
 	var dups byte
 	if t.dups {
@@ -83,12 +85,10 @@ func (t *LPM) AppendNative(dst []byte) []byte {
 // is validated before the index is returned — lengths, masks, host
 // bits, value range, child links (in range, strictly longer than
 // their parent, inside it and on the branch the link names), the /0
-// anchor, and zeroed padding —
-// so a damaged file fails here rather than corrupting a descent later.
-// A link that skips a level (past a node its descent should visit) is
-// not detected.
-// The stride-8 root table is always rebuilt on the heap; only the node
-// array aliases the input.
+// anchor, zeroed padding, and that a descent from the anchor reaches
+// every node exactly once — so a damaged file fails here rather than
+// corrupting a descent later. The stride-8 root table is always
+// rebuilt on the heap; only the node array aliases the input.
 func LPMFromNative(data []byte, maxVal int) (*LPM, error) {
 	if len(data) < lpmNativeHeaderSize {
 		return nil, fmt.Errorf("netutil: native LPM encoding truncated (%d bytes)", len(data))
@@ -174,6 +174,39 @@ func LPMFromNative(data []byte, maxVal int) (*LPM, error) {
 	if t.nodes[0].len != 0 || t.nodes[0].base != 0 {
 		return nil, fmt.Errorf("netutil: native LPM root node is %v, want the /0 anchor", t.nodes[0].prefix())
 	}
+	if reached := t.reachOnce(); reached != n {
+		return nil, fmt.Errorf("netutil: native LPM descent from the anchor reaches %d node visits, want each of %d nodes once", reached, n)
+	}
 	t.buildRoot8()
 	return t, nil
+}
+
+// reachOnce counts the node visits of a walk over every link from the
+// /0 anchor, stopping once the count passes len(t.nodes). With the
+// per-link checks (each child strictly longer than its parent, inside
+// it, on the named branch) the path to any prefix is fixed by the
+// prefix's own bits, so a count of exactly len(t.nodes) means the links
+// form one tree over every node: none is shared, none orphaned, and no
+// link skips a node its descent should visit. Children are strictly
+// longer, so the walk is at most 33 levels deep and its stack fits in a
+// fixed array: the check allocates nothing.
+func (t *LPM) reachOnce() int {
+	var stack [2 * 34]int32
+	stack[0] = 0
+	sp, visits := 1, 0
+	for sp > 0 && visits <= len(t.nodes) {
+		sp--
+		nd := &t.nodes[stack[sp]]
+		visits++
+		for _, k := range nd.kid {
+			if k >= 0 {
+				if sp == len(stack) {
+					return -1
+				}
+				stack[sp] = k
+				sp++
+			}
+		}
+	}
+	return visits
 }

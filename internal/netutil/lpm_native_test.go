@@ -59,6 +59,14 @@ type lpmDamage struct {
 	trunc  int
 }
 
+// damageFixture is the prefix set the damage tests encode: a clustered
+// random population plus a valued 10.0.0.0/8 with a /16 directly below
+// it, for kid-skips-level.
+func damageFixture() []Prefix {
+	rng := rand.New(rand.NewSource(9))
+	return append(randomPrefixSet(rng, 64), MustParsePrefix("10.0.0.0/8"), MustParsePrefix("10.1.0.0/16"))
+}
+
 // lpmNativeDamage lists the structural damage LPMFromNative must reject
 // for good, the encoding of an index built over nvals prefixes.
 func lpmNativeDamage(good []byte, nvals int) []lpmDamage {
@@ -104,6 +112,31 @@ func lpmNativeDamage(good []byte, nvals int) []lpmDamage {
 			binary.LittleEndian.PutUint32(b[node(0)+4:], maskOf(1))
 			b[node(0)+20] = 1
 		}},
+		{name: "kid-skips-level", mutate: func(b []byte) {
+			// Every per-link check passes: the /16 is longer than the
+			// anchor, inside it, on its branch 0. But a descent for an
+			// address in the /16 never visits the valued /8 above it.
+			eight, sixteen := -1, -1
+			for i := 0; i < (len(b)-lpmNativeHeaderSize)/lpmNativeNodeSize; i++ {
+				nd := b[node(i):]
+				if binary.LittleEndian.Uint32(nd) == 0x0a000000 && nd[20] == 8 &&
+					int32(binary.LittleEndian.Uint32(nd[8:])) >= 0 {
+					eight = i
+				}
+			}
+			if eight >= 0 {
+				for _, off := range []int{12, 16} {
+					k := int(int32(binary.LittleEndian.Uint32(b[node(eight)+off:])))
+					if k >= 0 && b[node(k)+20] == 16 {
+						sixteen = k
+					}
+				}
+			}
+			if sixteen < 0 {
+				panic("kid-skips-level: the fixture has no valued 10.0.0.0/8 with a /16 child")
+			}
+			binary.LittleEndian.PutUint32(b[node(0)+12:], uint32(sixteen))
+		}},
 		{name: "kid-wrong-branch", mutate: func(b []byte) {
 			// Acyclic and longer, but each child sits on the other side:
 			// every descent through the anchor would miss.
@@ -137,8 +170,7 @@ func unaligned(b []byte) []byte {
 // before the index exists — a mapped file with damaged nodes must fail
 // construction, never corrupt a descent at query time.
 func TestLPMNativeRejects(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	ps := randomPrefixSet(rng, 64)
+	ps := damageFixture()
 	good := BuildLPM(ps).AppendNative(nil)
 	for _, d := range lpmNativeDamage(good, len(ps)) {
 		t.Run(d.name, func(t *testing.T) {
@@ -154,8 +186,7 @@ func TestLPMNativeRejects(t *testing.T) {
 // checks run on the decoded nodes, so a copy must not launder damage
 // that the aliasing path would catch.
 func TestLPMCodecRejects(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	ps := randomPrefixSet(rng, 64)
+	ps := damageFixture()
 	good := BuildLPM(ps).AppendNative(nil)
 	for _, d := range lpmNativeDamage(good, len(ps)) {
 		t.Run(d.name, func(t *testing.T) {
@@ -245,8 +276,7 @@ func aligned(b []byte) []byte {
 // longest-match and exact lookup identically on both, always with a
 // value below maxVal.
 func FuzzLPMFromNative(f *testing.F) {
-	rng := rand.New(rand.NewSource(9))
-	ps := randomPrefixSet(rng, 64)
+	ps := damageFixture()
 	good := BuildLPM(ps).AppendNative(nil)
 	f.Add(good, uint16(len(ps)))
 	f.Add(BuildLPM(ps[:3]).AppendNative(nil), uint16(3))

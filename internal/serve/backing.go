@@ -44,7 +44,7 @@ const (
 )
 
 // ASNViewEntry is one ASN's slot in the flat ASN index: a run of Cnt
-// arena indexes starting at Off in the shared slab.
+// record indexes starting at Off in the shared slab.
 type ASNViewEntry struct {
 	ASN uint32
 	Off uint32
@@ -52,7 +52,7 @@ type ASNViewEntry struct {
 }
 
 // ASNView is the snapshot's ASN index: sorted (ASN, offset, count)
-// entries over one int32 slab of arena indexes, each run ascending. A
+// entries over one int32 slab of record indexes, each run ascending. A
 // built snapshot owns both arrays on the heap; a restored one aliases
 // them from the snapshot bytes (possibly a memory-mapped file) — the
 // view allocates nothing and is never mutated, so it can serve straight
@@ -65,9 +65,9 @@ type ASNView struct {
 
 // buildASNView indexes an inference arena by leaf origin. One counting
 // pass sizes every ASN's run, the entries are sorted by ASN and laid
-// out back to back, and a fill pass writes each inference's arena index
-// into the runs of its origins — in arena order, so every run comes out
-// ascending without a sort.
+// out back to back, and a fill pass writes each inference's index —
+// its record's index — into the runs of its origins, in arena order,
+// so every run comes out ascending without a sort.
 func buildASNView(infs []core.Inference) *ASNView {
 	counts := make(map[uint32]uint32)
 	total := 0
@@ -100,10 +100,10 @@ func buildASNView(infs []core.Inference) *ASNView {
 
 // NewASNView validates and wraps a decoded ASN index. Entries must be
 // strictly ascending by ASN (sorted, no duplicates), every run must lie
-// inside the slab, and every slab value in a referenced run must index
-// into an arena of arenaLen — enforced here once at open so lookups can
+// inside the slab, and every slab value in a referenced run must name
+// one of nRecords records — enforced here once at open so lookups can
 // trust the views.
-func NewASNView(entries []ASNViewEntry, slab []int32, arenaLen int) (*ASNView, error) {
+func NewASNView(entries []ASNViewEntry, slab []int32, nRecords int) (*ASNView, error) {
 	for i := range entries {
 		e := &entries[i]
 		if i > 0 && entries[i-1].ASN >= e.ASN {
@@ -119,16 +119,16 @@ func NewASNView(entries []ASNViewEntry, slab []int32, arenaLen int) (*ASNView, e
 				i, e.ASN, e.Off, end, len(slab))
 		}
 		for _, j := range slab[e.Off : e.Off+e.Cnt] {
-			if j < 0 || int(j) >= arenaLen {
-				return nil, fmt.Errorf("serve: ASN view entry for ASN %d holds arena index %d outside arena of %d",
-					e.ASN, j, arenaLen)
+			if j < 0 || int(j) >= nRecords {
+				return nil, fmt.Errorf("serve: ASN view entry for ASN %d holds record index %d outside %d records",
+					e.ASN, j, nRecords)
 			}
 		}
 	}
 	return &ASNView{entries: entries, slab: slab}, nil
 }
 
-// Lookup returns the arena-index run for asn, nil if it originates
+// Lookup returns the record-index run for asn, nil if it originates
 // nothing. The returned slice aliases the view; read-only.
 func (v *ASNView) Lookup(asn uint32) []int32 {
 	i := sort.Search(len(v.entries), func(i int) bool { return v.entries[i].ASN >= asn })
@@ -139,10 +139,10 @@ func (v *ASNView) Lookup(asn uint32) []int32 {
 	return v.slab[e.Off : e.Off+e.Cnt]
 }
 
-// Entries returns the view's sorted entry array, and Slab the arena
+// Entries returns the view's sorted entry array, and Slab the record
 // indexes they address — the two arrays the snapshot codec writes
 // verbatim. Both alias the view; read-only.
 func (v *ASNView) Entries() []ASNViewEntry { return v.entries }
 
-// Slab returns the arena-index slab the entries address; see Entries.
+// Slab returns the record-index slab the entries address; see Entries.
 func (v *ASNView) Slab() []int32 { return v.slab }

@@ -50,8 +50,8 @@ type DeltaInfo struct {
 // patching the previous snapshot's serving indexes through the
 // PatchPlan instead of rebuilding them: surviving LPM values are
 // remapped in place, deleted ones dropped, and only the re-classified
-// flat slots are re-inserted. The ASN index is rebuilt from the new
-// arena. The result must be the one ApplyDelta produced from
+// flat slots are re-inserted. The records and the ASN index are
+// re-encoded from the new arena. The result must be the one ApplyDelta produced from
 // prev.Result with plan.
 //
 // The returned snapshot answers every query byte-identically to
@@ -71,17 +71,16 @@ func PatchSnapshot(prev *Snapshot, res *core.Result, plan *core.PatchPlan, repor
 		SkippedAnalyses: skippedAnalyses,
 		Inferred:        true,
 		Delta:           &DeltaInfo{Mode: ModeDelta},
+		totalBGP:        res.TotalBGPPrefixes,
+		routedSpace:     res.RoutedSpace,
 	}
-	s.infs = res.Flat()
-	if len(s.infs) != plan.NextLen || len(prev.infs) != plan.PrevLen {
+	infs := res.Flat()
+	if len(infs) != plan.NextLen || prev.NumInferences() != plan.PrevLen {
 		s := NewSnapshot(res, reports, skippedAnalyses)
 		s.Delta = &DeltaInfo{Mode: ModeDelta, LPMRebuilt: true}
 		return s
 	}
-	ps := make([]netutil.Prefix, len(s.infs))
-	for i := range s.infs {
-		ps[i] = s.infs[i].Prefix
-	}
+	ps := prefixesOf(infs)
 	deleted := 0
 	for _, v := range plan.Remap {
 		if v < 0 {
@@ -95,9 +94,11 @@ func PatchSnapshot(prev *Snapshot, res *core.Result, plan *core.PatchPlan, repor
 		s.Delta.LPMRebuilt = true
 	}
 
-	// The ASN index is rebuilt from the spliced arena by the same builder
-	// NewSnapshot uses, so it matches a full build by construction.
-	s.byASN = buildASNView(s.infs)
+	// The records and the ASN index are rebuilt from the spliced arena
+	// by the same encoders NewSnapshot uses, so they match a full build
+	// by construction.
+	s.recs = encodeRecords(infs)
+	s.byASN = buildASNView(infs)
 
 	// Table 1 aggregates every region's counts; re-render it from the
 	// spliced result (cheap relative to classification).

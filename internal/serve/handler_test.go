@@ -325,7 +325,7 @@ func TestRoutedHandlerReachesConnection(t *testing.T) {
 func TestHandlerLookupAllocs(t *testing.T) {
 	s, snap := benchServer(t)
 	h := s.Handler()
-	req := httptest.NewRequest(http.MethodGet, "/lookup?ip="+snap.infs[0].Prefix.Base.String(), nil)
+	req := httptest.NewRequest(http.MethodGet, "/lookup?ip="+snap.Inference(0).Prefix.Base.String(), nil)
 	w := &discardWriter{header: http.Header{}}
 	if n := testing.AllocsPerRun(200, func() {
 		w.reset()

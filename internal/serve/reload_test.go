@@ -65,12 +65,12 @@ func TestReloadUnderCorruptionServesOldSnapshot(t *testing.T) {
 	// snapshot serves. Sampled across leased and non-leased leaves.
 	snap := s.Snapshot()
 	var urls []string
-	for i := range snap.infs {
+	for i := 0; i < snap.NumInferences(); i++ {
 		if len(urls) >= 24 {
 			break
 		}
 		if i%3 == 0 {
-			inf := &snap.infs[i]
+			inf := snap.Inference(i)
 			urls = append(urls, "/lookup?prefix="+inf.Prefix.String())
 			if o := inf.Originator(); o != 0 {
 				urls = append(urls, fmt.Sprintf("/lookup?asn=%d", o))

@@ -88,13 +88,17 @@ func renderLookup(w http.ResponseWriter, kind, arg string, builtAt time.Time, in
 	putBody(bp, b)
 }
 
-// renderBatch renders one /lookup/batch answer. ips are the request's
-// raw addresses; hits[i] is the match for ips[i] and errs[i] its parse
-// error, which takes precedence.
-func renderBatch(w http.ResponseWriter, builtAt time.Time, ips []string, hits []*core.Inference, errs []error) {
+// renderBatch renders one /lookup/batch answer from snap. ips are the
+// request's raw addresses; hits[i] is the record index matching ips[i]
+// (-1 for none) and errs[i] its parse error, which takes precedence.
+// Each hit is decoded into one scratch inference just before it is
+// rendered.
+func renderBatch(w http.ResponseWriter, snap *Snapshot, ips []string, hits []int32, errs []error) {
+	scratch := getScratch()
+	defer putScratch(scratch)
 	bp := bodyPool.Get().(*[]byte)
 	b := append((*bp)[:0], "{\n  \"snapshot_built_at\": "...)
-	b, ok := appendJSONTime(b, builtAt)
+	b, ok := appendJSONTime(b, snap.BuiltAt)
 	b = member(b, 1, "results")
 	b = append(b, '[')
 	for i, ip := range ips {
@@ -112,10 +116,11 @@ func renderBatch(w http.ResponseWriter, builtAt time.Time, ips []string, hits []
 			b = append(b, "false"...)
 			b = member(b, 3, "error")
 			b = appendJSONString(b, errs[i].Error())
-		case hits[i] != nil:
+		case hits[i] >= 0:
+			snap.recs.decode(hits[i], scratch)
 			b = append(b, "true"...)
 			b = member(b, 3, "inference")
-			b = appendInference(b, 4, hits[i])
+			b = appendInference(b, 4, scratch)
 		default:
 			b = append(b, "false"...)
 		}
@@ -129,6 +134,22 @@ func renderBatch(w http.ResponseWriter, builtAt time.Time, ips []string, hits []
 	b = append(b, "\n}\n"...)
 	writeRendered(w, b, ok)
 	putBody(bp, b)
+}
+
+// scratchPool holds the inferences the lookup handlers decode records
+// into, so a hit allocates nothing once a pooled value's Facilitators
+// array has grown to fit.
+var scratchPool = sync.Pool{New: func() any { return new(core.Inference) }}
+
+func getScratch() *core.Inference { return scratchPool.Get().(*core.Inference) }
+
+// putScratch pools inf, dropping every reference it holds into the
+// snapshot it was decoded from.
+func putScratch(inf *core.Inference) {
+	fac := inf.Facilitators[:0]
+	clear(fac[:cap(fac)])
+	*inf = core.Inference{Facilitators: fac}
+	scratchPool.Put(inf)
 }
 
 // putBody returns a rendered body's buffer to the pool.

@@ -183,8 +183,9 @@ func TestRenderMatchesEncoderOnSynthWorld(t *testing.T) {
 
 	asns := map[uint32]bool{}
 	var batch []string
-	for i := range snap.infs {
-		inf := &snap.infs[i]
+	infs := inferencesOf(snap)
+	for i := range infs {
+		inf := &infs[i]
 		d.lookup("/lookup?prefix="+inf.Prefix.String(),
 			oracleLookup("prefix="+inf.Prefix.String(), built, snap.LookupPrefix(inf.Prefix), nil))
 		a := inf.Prefix.Base | netutil.Addr(rng.Uint32()&^uint32(inf.Prefix.Mask()))
@@ -210,10 +211,10 @@ func TestRenderMatchesEncoderOnSynthWorld(t *testing.T) {
 	for lo := 0; lo < len(batch); lo += MaxBatchIPs {
 		d.batch(batch[lo:min(lo+MaxBatchIPs, len(batch))])
 	}
-	if len(snap.infs) < 1000 || len(asns) < 100 {
-		t.Fatalf("world too small to mean anything: %d leaves, %d ASNs", len(snap.infs), len(asns))
+	if len(infs) < 1000 || len(asns) < 100 {
+		t.Fatalf("world too small to mean anything: %d leaves, %d ASNs", len(infs), len(asns))
 	}
-	t.Logf("%d leaves, %d ASNs, %d byte-identical responses", len(snap.infs), len(asns), d.n)
+	t.Logf("%d leaves, %d ASNs, %d byte-identical responses", len(infs), len(asns), d.n)
 }
 
 // TestRenderMatchesEncoderOnEdgeInferences covers what a synthetic
@@ -253,12 +254,13 @@ func TestRenderMatchesEncoderOnEdgeInferences(t *testing.T) {
 	s := serveSnapshot(t, snap, time.Date(2026, 1, 2, 3, 4, 5, 0, time.UTC))
 	d := &differential{t: t, h: s.Handler(), snap: snap}
 	var ips []string
-	for i := range snap.infs {
-		p := snap.infs[i].Prefix
-		d.lookup("/lookup?prefix="+p.String(), oracleLookup("prefix="+p.String(), snap.BuiltAt, &snap.infs[i], nil))
+	decoded := inferencesOf(snap)
+	for i := range decoded {
+		p := decoded[i].Prefix
+		d.lookup("/lookup?prefix="+p.String(), oracleLookup("prefix="+p.String(), snap.BuiltAt, &decoded[i], nil))
 		a := p.Base | 7
 		d.lookup("/lookup?ip="+a.String(), oracleLookup("ip="+a.String(), snap.BuiltAt, snap.LookupAddr(a), nil))
-		for _, asn := range snap.infs[i].LeafOrigins {
+		for _, asn := range decoded[i].LeafOrigins {
 			q := fmt.Sprintf("asn=%d", asn)
 			d.lookup("/lookup?"+q, oracleLookup(q, snap.BuiltAt, nil, snap.LookupASN(asn)))
 		}
@@ -270,8 +272,9 @@ func TestRenderMatchesEncoderOnEdgeInferences(t *testing.T) {
 
 	// The query echo and the timestamp, rendered directly: the handler
 	// only ever echoes parsed addresses, but the renderer must escape
-	// anything, and must refuse the instants MarshalJSON refuses.
-	inf := &snap.infs[0]
+	// anything, and must refuse the instants MarshalJSON refuses. inf is
+	// the hand-built value, with its empty (not nil) slices.
+	inf := &infs[0]
 	odd := &core.Inference{Registry: whois.Registry(-1), Prefix: mp("13.0.0.0/24"), Category: core.Category(99)}
 	times := []time.Time{
 		{}, time.Unix(0, 1).UTC(), time.Date(9999, 12, 31, 23, 59, 59, 999999999, time.UTC),
@@ -294,7 +297,7 @@ func TestRenderMatchesEncoderOnEdgeInferences(t *testing.T) {
 				t.Fatalf("renderLookup(asn %q, %v): %s", arg, at, diffBodies(rec.Body.Bytes(), want))
 			}
 			rec = httptest.NewRecorder()
-			renderBatch(rec, at, []string{arg}, []*core.Inference{nil}, []error{nil})
+			renderBatch(rec, &Snapshot{BuiltAt: at}, []string{arg}, []int32{-1}, []error{nil})
 			want := encodeOracle(batchLookupResponse{SnapshotBuiltAt: at, Results: []batchLookupItem{{IP: arg}}})
 			if !bytes.Equal(rec.Body.Bytes(), want) {
 				t.Fatalf("renderBatch(%q, %v): %s", arg, at, diffBodies(rec.Body.Bytes(), want))
@@ -302,7 +305,7 @@ func TestRenderMatchesEncoderOnEdgeInferences(t *testing.T) {
 		}
 	}
 	rec := httptest.NewRecorder()
-	renderBatch(rec, snap.BuiltAt, []string{}, nil, nil)
+	renderBatch(rec, snap, []string{}, nil, nil)
 	if want := encodeOracle(batchLookupResponse{SnapshotBuiltAt: snap.BuiltAt, Results: []batchLookupItem{}}); !bytes.Equal(rec.Body.Bytes(), want) {
 		t.Fatalf("empty batch: %s", diffBodies(rec.Body.Bytes(), want))
 	}

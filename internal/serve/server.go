@@ -908,10 +908,18 @@ func (s *Server) handleLookup(w http.ResponseWriter, r *http.Request) {
 		infs []*core.Inference
 	)
 	switch kind {
-	case "prefix":
-		inf = snap.LookupPrefix(p)
-	case "ip":
-		inf = snap.LookupAddr(a)
+	case "prefix", "ip":
+		scratch := getScratch()
+		defer putScratch(scratch)
+		var found bool
+		if kind == "prefix" {
+			found = snap.LookupPrefixInto(p, scratch)
+		} else {
+			found = snap.LookupAddrInto(a, scratch)
+		}
+		if found {
+			inf = scratch
+		}
 	default:
 		infs = snap.LookupASN(uint32(asn))
 	}
@@ -978,11 +986,11 @@ func (s *Server) handleLookupBatch(w http.ResponseWriter, r *http.Request) {
 	for i, raw := range req.IPs {
 		addrs[i], errs[i] = netutil.ParseAddr(raw)
 	}
-	hits := snap.LookupAddrs(make([]*core.Inference, 0, len(addrs)), addrs)
+	hits := snap.LookupAddrs(make([]int32, 0, len(addrs)), addrs)
 	lpmSpan.AddRecords(int64(len(req.IPs)))
 	lpmSpan.End()
 	_, renderSpan := telemetry.StartSpan(ctx, "render")
-	renderBatch(w, snap.BuiltAt, req.IPs, hits, errs)
+	renderBatch(w, snap, req.IPs, hits, errs)
 	renderSpan.End()
 }
 
@@ -1180,9 +1188,9 @@ func (s *Server) handleStatusz(w http.ResponseWriter, r *http.Request) {
 			Dir:             snap.Dir,
 			Strict:          snap.Strict,
 			Inferences:      snap.NumInferences(),
-			Leased:          snap.Result.TotalLeased(),
-			RoutedPrefixes:  snap.Result.TotalBGPPrefixes,
-			LeasedShare:     snap.Result.LeasedShareOfBGP(),
+			Leased:          snap.TotalLeased(),
+			RoutedPrefixes:  snap.TotalBGPPrefixes(),
+			LeasedShare:     snap.LeasedShareOfBGP(),
 			SkippedAnalyses: snap.SkippedAnalyses,
 			LoadMode:        snap.LoadMode(),
 		}

@@ -1,6 +1,17 @@
 // Package serve implements the resilient lease-lookup service: an
-// immutable in-memory snapshot of one dataset load plus inference run,
-// and an HTTP server that answers prefix/ASN lease queries from it.
+// immutable snapshot of one dataset load plus inference run, and an
+// HTTP server that answers prefix/ASN lease queries from it.
+//
+// A snapshot holds its classifications in the record layout this
+// package owns (records.go): four flat sections of fixed-width records,
+// interned strings and u32 slabs, plus an LPM index and an ASN index
+// whose values are record indexes. A built snapshot encodes them on the
+// heap; a restored one views them in the bytes of a snapshot file,
+// mapped or read (internal/snapstore keeps the framing, checksums and
+// files). Either way a lookup decodes only the record it answers, so
+// the heap holds no per-inference state: what stays there is the
+// indexes' headers, the LPM's stride-8 root table, the rendered Table 1
+// of a built snapshot, and the load reports.
 //
 // The architecture is snapshot-swap: queries always read a fully built,
 // never-mutated *Snapshot through an atomic pointer, and a hot reload
@@ -27,8 +38,9 @@ import (
 )
 
 // Snapshot is one immutable serving state: the inference result of a
-// single dataset load, indexed for allocation-free query answering, with
-// the load's diagnostics attached. Snapshots are never mutated after
+// single dataset load, held as records and indexed for lookups that
+// decode into caller-owned values, with the load's diagnostics
+// attached. Snapshots are never mutated after
 // NewSnapshot returns, so any number of request goroutines may read one
 // concurrently while the next snapshot is being built.
 type Snapshot struct {
@@ -51,7 +63,9 @@ type Snapshot struct {
 	Dir string
 	// Strict records the ingestion policy of the load.
 	Strict bool
-	// Result is the full inference output backing every lookup.
+	// Result is the inference output a built snapshot was indexed from
+	// (NewSnapshot, PatchSnapshot); nil on a restored snapshot, which
+	// holds only the record sections. Lookups never read it.
 	Result *core.Result
 	// Reports is the per-source load accounting of the build.
 	Reports []*diag.LoadReport
@@ -69,11 +83,16 @@ type Snapshot struct {
 	Delta *DeltaInfo
 
 	table1 []byte
-	infs   []core.Inference
-	lpm    *netutil.LPM
-	// byASN holds flat indices into infs rather than pointers, so a
-	// restored snapshot can alias it straight from the snapshot bytes.
+	// recs holds every classification in the record layout; lookups
+	// decode from it on demand. The LPM values and the ASN index's slab
+	// are record indexes into it.
+	recs  *Records
+	lpm   *netutil.LPM
 	byASN *ASNView
+	// totalBGP and routedSpace are the Table-1 denominators the records
+	// do not carry.
+	totalBGP    int
+	routedSpace uint64
 
 	// backing, when non-nil, owns memory the snapshot's indexes alias
 	// (a memory-mapped snapshot file). refs counts the holders keeping
@@ -116,7 +135,8 @@ func (s *Snapshot) Acquire() bool {
 // Release drops a reference taken by Acquire (or the creation
 // reference Restore minted). The last drop releases the backing —
 // for a mapped snapshot, potentially munmap — after which every view
-// (inference arena, LPM nodes, ASN index, table1) is invalid.
+// (records, LPM nodes, ASN index, table1) and every string or origin
+// list decoded from the records is invalid.
 func (s *Snapshot) Release() {
 	if s.backing == nil {
 		return
@@ -142,41 +162,50 @@ func (s *Snapshot) LoadMode() string {
 
 // NewSnapshot indexes an inference result for serving. The result and
 // reports must not be mutated afterwards; the snapshot takes ownership.
+// The classifications are encoded once into the record sections, which
+// the snapshot then serves from exactly as a restored one does, and
+// which the snapshot codec writes verbatim.
 func NewSnapshot(res *core.Result, reports []*diag.LoadReport, skippedAnalyses []string) *Snapshot {
 	s := &Snapshot{
 		Result:          res,
 		Reports:         reports,
 		SkippedAnalyses: skippedAnalyses,
 		Inferred:        true,
+		totalBGP:        res.TotalBGPPrefixes,
+		routedSpace:     res.RoutedSpace,
 	}
-	s.infs = res.Flat()
-	ps := make([]netutil.Prefix, len(s.infs))
-	for i := range s.infs {
-		ps[i] = s.infs[i].Prefix
-	}
-	s.byASN = buildASNView(s.infs)
+	infs := res.Flat()
+	s.recs = encodeRecords(infs)
+	s.byASN = buildASNView(infs)
 	// Index every leaf prefix in a flat LPM trie: address lookups become
 	// one short pointer-free descent instead of up to 25 map probes, and
 	// they allocate nothing, so batch endpoints and utilization sweeps
 	// can hit the snapshot at line rate. BuildLPM resolves duplicate
 	// prefixes to the highest index, matching the last-write-wins
 	// population order of the map this replaces.
-	s.lpm = netutil.BuildLPM(ps)
+	s.lpm = netutil.BuildLPM(prefixesOf(infs))
 	var buf bytes.Buffer
 	report.Table1(&buf, res)
 	s.table1 = buf.Bytes()
 	return s
 }
 
+// prefixesOf lists every inference's leaf prefix, in arena order.
+func prefixesOf(infs []core.Inference) []netutil.Prefix {
+	ps := make([]netutil.Prefix, len(infs))
+	for i := range infs {
+		ps[i] = infs[i].Prefix
+	}
+	return ps
+}
+
 // Table1 returns the pre-rendered Markdown Table 1 for this snapshot —
 // the same bytes report.Markdown embeds in the full report.
 func (s *Snapshot) Table1() []byte { return s.table1 }
 
-// FlatInferences exposes the snapshot's flat inference arena — every
-// classification, contiguous, in All order — for the snapshot codec
-// (internal/snapstore). Read-only: the arena is shared with every
-// concurrent lookup.
-func (s *Snapshot) FlatInferences() []core.Inference { return s.infs }
+// Records exposes the snapshot's record sections for the snapshot
+// codec. Read-only.
+func (s *Snapshot) Records() *Records { return s.recs }
 
 // LPM exposes the snapshot's flat longest-prefix-match index for the
 // snapshot codec. Read-only.
@@ -189,17 +218,20 @@ func (s *Snapshot) ASNView() *ASNView { return s.byASN }
 // Restored carries decoded snapshot sections into Restore. Every field
 // is required except Backing.
 type Restored struct {
-	BuiltAt         time.Time
-	Generation      uint64
-	Provenance      string
-	Dir             string
-	Strict          bool
-	Result          *core.Result // must carry the flat arena (core.ResultFromRuns)
-	LPM             *netutil.LPM
-	ByASNView       *ASNView // already validated (NewASNView)
-	Table1          []byte
-	Reports         []*diag.LoadReport
-	SkippedAnalyses []string
+	BuiltAt    time.Time
+	Generation uint64
+	Provenance string
+	Dir        string
+	Strict     bool
+	Records    *Records // already validated (OpenRecords)
+	// TotalBGPPrefixes and RoutedSpace are the Table-1 denominators.
+	TotalBGPPrefixes int
+	RoutedSpace      uint64
+	LPM              *netutil.LPM
+	ByASNView        *ASNView // already validated (NewASNView)
+	Table1           []byte
+	Reports          []*diag.LoadReport
+	SkippedAnalyses  []string
 	// Backing, when non-nil, owns the memory the decoded sections alias;
 	// the snapshot takes over one reference to it (refcount 1 at birth)
 	// and releases it when its own last reference drops. It also labels
@@ -209,15 +241,16 @@ type Restored struct {
 
 // Restore assembles a servable Snapshot from already-decoded sections
 // without re-running any build step: no BuildLPM, no report.Table1, no
-// classification. This is the contract that makes snapshot cold starts
-// O(bytes) instead of O(world) — the decoded sections ARE the serving
-// indexes. The parts must have been produced from one consistent
-// snapshot (the snapshot codec's checksums guarantee that); Restore
-// still refuses structurally impossible combinations rather than serve
-// from them.
+// classification, no per-record decode. This is the contract that
+// makes snapshot cold starts O(bytes) instead of O(world) — the decoded
+// sections ARE the serving indexes. The parts must have been produced
+// from one consistent snapshot (the snapshot codec's checksums
+// guarantee that); Restore still refuses structurally impossible
+// combinations rather than serve from them. The restored snapshot's
+// Result is nil.
 func Restore(parts Restored) (*Snapshot, error) {
-	if parts.Result == nil || parts.LPM == nil || parts.ByASNView == nil {
-		return nil, errors.New("serve: restore needs a result, an LPM index and an ASN index")
+	if parts.Records == nil || parts.LPM == nil || parts.ByASNView == nil {
+		return nil, errors.New("serve: restore needs records, an LPM index and an ASN index")
 	}
 	s := &Snapshot{
 		BuiltAt:         parts.BuiltAt,
@@ -225,11 +258,12 @@ func Restore(parts Restored) (*Snapshot, error) {
 		Provenance:      parts.Provenance,
 		Dir:             parts.Dir,
 		Strict:          parts.Strict,
-		Result:          parts.Result,
 		Reports:         parts.Reports,
 		SkippedAnalyses: parts.SkippedAnalyses,
 		table1:          parts.Table1,
-		infs:            parts.Result.Flat(),
+		recs:            parts.Records,
+		totalBGP:        parts.TotalBGPPrefixes,
+		routedSpace:     parts.RoutedSpace,
 		lpm:             parts.LPM,
 		byASN:           parts.ByASNView,
 		backing:         parts.Backing,
@@ -245,74 +279,114 @@ func Restore(parts Restored) (*Snapshot, error) {
 	return s, nil
 }
 
+// Lookups decode the matched record into a core.Inference: the Into
+// forms into a caller-owned value, allocation-free once its
+// Facilitators array is large enough (the handlers' path); the others
+// into a new value. Either way the decoded strings and origin lists
+// alias the snapshot's sections, so they are valid only while the
+// caller holds a reference (Acquire) on a view-backed snapshot.
+
+// InferenceInto decodes record i (0 <= i < NumInferences) into dst.
+func (s *Snapshot) InferenceInto(i int, dst *core.Inference) {
+	s.recs.decode(int32(i), dst)
+}
+
+// Inference decodes record i (0 <= i < NumInferences) into a new value.
+func (s *Snapshot) Inference(i int) *core.Inference {
+	inf := new(core.Inference)
+	s.recs.decode(int32(i), inf)
+	return inf
+}
+
+// LookupPrefixInto decodes the classification of an exact leaf prefix
+// into dst, reporting whether the snapshot has one.
+func (s *Snapshot) LookupPrefixInto(p netutil.Prefix, dst *core.Inference) bool {
+	i, ok := s.lpm.LookupExact(p)
+	if ok {
+		s.recs.decode(i, dst)
+	}
+	return ok
+}
+
 // LookupPrefix returns the classification of an exact leaf prefix, or
 // nil if the snapshot has none.
 func (s *Snapshot) LookupPrefix(p netutil.Prefix) *core.Inference {
 	if i, ok := s.lpm.LookupExact(p); ok {
-		return &s.infs[i]
+		return s.Inference(int(i))
 	}
 	return nil
+}
+
+// LookupAddrInto decodes the longest-prefix-match classification
+// covering a single address into dst, reporting whether a classified
+// leaf covers it. The lookup is a short descent over the snapshot's
+// flat LPM index plus one record decode: O(tree depth), safe under
+// arbitrary concurrency, and allocation-free when dst is reused.
+func (s *Snapshot) LookupAddrInto(a netutil.Addr, dst *core.Inference) bool {
+	i, ok := s.lpm.Lookup(a)
+	if ok {
+		s.recs.decode(i, dst)
+	}
+	return ok
 }
 
 // LookupAddr returns the longest-prefix-match classification covering a
-// single address, or nil if no classified leaf covers it. The lookup is
-// a short descent over the snapshot's flat LPM index: O(tree depth),
-// zero allocation, safe under arbitrary concurrency.
+// single address, decoded into a new value, or nil if no classified
+// leaf covers it.
 func (s *Snapshot) LookupAddr(a netutil.Addr) *core.Inference {
 	if i, ok := s.lpm.Lookup(a); ok {
-		return &s.infs[i]
+		return s.Inference(int(i))
 	}
 	return nil
 }
 
-// LookupAddrs classifies a batch of addresses, appending one result per
-// address (nil where nothing matches) to dst and returning it. Only dst
-// may grow: the per-address work is the same allocation-free descent as
-// LookupAddr, so callers that reuse dst across batches amortize to zero
-// allocation.
-func (s *Snapshot) LookupAddrs(dst []*core.Inference, addrs []netutil.Addr) []*core.Inference {
-	if cap(dst)-len(dst) < len(addrs) {
-		grown := make([]*core.Inference, len(dst), len(dst)+len(addrs))
-		copy(grown, dst)
-		dst = grown
-	}
-	// Chunk through a stack buffer so the LPM descent runs batched (node
-	// array hoisted out of the per-address loop) while this path stays
-	// allocation-free at any batch size.
-	var buf [512]int32
-	for len(addrs) > 0 {
-		chunk := addrs
-		if len(chunk) > len(buf) {
-			chunk = chunk[:len(buf)]
-		}
-		for _, i := range s.lpm.LookupAddrs(buf[:0], chunk) {
-			if i >= 0 {
-				dst = append(dst, &s.infs[i])
-			} else {
-				dst = append(dst, nil)
-			}
-		}
-		addrs = addrs[len(chunk):]
-	}
-	return dst
+// LookupAddrs classifies a batch of addresses, appending one record
+// index per address (-1 where nothing matches) to dst and returning
+// it; InferenceInto decodes a hit. Only dst may grow, so callers that
+// reuse dst across batches amortize to zero allocation.
+func (s *Snapshot) LookupAddrs(dst []int32, addrs []netutil.Addr) []int32 {
+	return s.lpm.LookupAddrs(dst, addrs)
 }
 
 // LookupASN returns every classified leaf prefix originated by the ASN,
-// in the result's registry-then-prefix order.
+// in the result's registry-then-prefix order, each decoded into a new
+// value.
 func (s *Snapshot) LookupASN(asn uint32) []*core.Inference {
 	idx := s.byASN.Lookup(asn)
 	if len(idx) == 0 {
 		return nil
 	}
+	infs := make([]core.Inference, len(idx))
 	out := make([]*core.Inference, len(idx))
-	for i, j := range idx {
-		out[i] = &s.infs[j]
+	for k, j := range idx {
+		s.recs.decode(j, &infs[k])
+		out[k] = &infs[k]
 	}
 	return out
 }
 
 // NumInferences returns the number of classified leaves in the snapshot.
-func (s *Snapshot) NumInferences() int { return len(s.infs) }
+func (s *Snapshot) NumInferences() int { return s.recs.Len() }
+
+// TotalLeased returns the number of leased leaves, tallied from the
+// records.
+func (s *Snapshot) TotalLeased() int { return s.recs.leased() }
+
+// TotalBGPPrefixes returns the number of distinct routed prefixes
+// (Table 1's "all routed prefixes" denominator).
+func (s *Snapshot) TotalBGPPrefixes() int { return s.totalBGP }
+
+// RoutedSpace returns the number of routed IPv4 addresses.
+func (s *Snapshot) RoutedSpace() uint64 { return s.routedSpace }
+
+// LeasedShareOfBGP returns leased leaves as a fraction of all routed
+// prefixes.
+func (s *Snapshot) LeasedShareOfBGP() float64 {
+	if s.totalBGP == 0 {
+		return 0
+	}
+	return float64(s.TotalLeased()) / float64(s.totalBGP)
+}
 
 // InferenceView is the JSON shape of one classification, stable across
 // snapshots so clients can diff responses between reloads.

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"ipleasing"
@@ -44,11 +45,30 @@ func mapWalkLookupAddr(byPrefix map[netutil.Prefix]*core.Inference, a netutil.Ad
 
 // byPrefixOf rebuilds the retired map index over a snapshot's leaves.
 func byPrefixOf(s *Snapshot) map[netutil.Prefix]*core.Inference {
-	m := make(map[netutil.Prefix]*core.Inference, len(s.infs))
-	for i := range s.infs {
-		m[s.infs[i].Prefix] = &s.infs[i]
+	infs := inferencesOf(s)
+	m := make(map[netutil.Prefix]*core.Inference, len(infs))
+	for i := range infs {
+		m[infs[i].Prefix] = &infs[i]
 	}
 	return m
+}
+
+// inferencesOf decodes every record of s, in record order.
+func inferencesOf(s *Snapshot) []core.Inference {
+	out := make([]core.Inference, s.NumInferences())
+	for i := range out {
+		s.InferenceInto(i, &out[i])
+	}
+	return out
+}
+
+// sameInference reports whether two lookup answers are the same
+// classification (or both misses).
+func sameInference(a, b *core.Inference) bool {
+	if a == nil || b == nil {
+		return a == b
+	}
+	return reflect.DeepEqual(*a, *b)
 }
 
 // edgeSnapshot covers the address-space extremes and a root that has
@@ -114,7 +134,7 @@ func TestLookupAddrEmptySnapshot(t *testing.T) {
 	if inf := s.LookupPrefix(mp("10.0.0.0/24")); inf != nil {
 		t.Fatalf("empty snapshot matched prefix %s", inf.Prefix)
 	}
-	if got := s.LookupAddrs(nil, []netutil.Addr{netutil.MustParseAddr("10.0.0.1")}); len(got) != 1 || got[0] != nil {
+	if got := s.LookupAddrs(nil, []netutil.Addr{netutil.MustParseAddr("10.0.0.1")}); len(got) != 1 || got[0] != -1 {
 		t.Fatalf("empty snapshot batch = %v", got)
 	}
 }
@@ -138,23 +158,24 @@ func randomLeafSnapshot(rng *rand.Rand, n int) *Snapshot {
 
 // TestLookupAddrCrossCheck drives the LPM-backed LookupAddr against the
 // retired map-walk implementation over random snapshots: every answer —
-// hit or miss — must be the identical *core.Inference.
+// hit or miss — must be the identical classification.
 func TestLookupAddrCrossCheck(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for trial := 0; trial < 10; trial++ {
 		s := randomLeafSnapshot(rng, 100+rng.Intn(400))
 		byPrefix := byPrefixOf(s)
+		infs := inferencesOf(s)
 		for q := 0; q < 1000; q++ {
 			var a netutil.Addr
 			if q%2 == 0 {
-				p := s.infs[rng.Intn(len(s.infs))].Prefix
+				p := infs[rng.Intn(len(infs))].Prefix
 				a = p.Base | netutil.Addr(rng.Uint32()&^uint32(p.Mask()))
 			} else {
 				a = netutil.Addr(rng.Uint32())
 			}
 			want := mapWalkLookupAddr(byPrefix, a)
 			got := s.LookupAddr(a)
-			if got != want {
+			if !sameInference(got, want) {
 				t.Fatalf("trial %d: LookupAddr(%s) = %v, map walk = %v", trial, a, got, want)
 			}
 		}
@@ -171,7 +192,7 @@ func FuzzLookupAddr(f *testing.F) {
 	f.Add(uint32(0x0a000100))
 	f.Fuzz(func(t *testing.T, addr uint32) {
 		a := netutil.Addr(addr)
-		if got, want := s.LookupAddr(a), mapWalkLookupAddr(byPrefix, a); got != want {
+		if got, want := s.LookupAddr(a), mapWalkLookupAddr(byPrefix, a); !sameInference(got, want) {
 			t.Fatalf("LookupAddr(%s) = %v, map walk = %v", a, got, want)
 		}
 	})
@@ -188,18 +209,18 @@ func TestLookupAddrs(t *testing.T) {
 	if len(got) != 3 {
 		t.Fatalf("batch returned %d results, want 3", len(got))
 	}
-	if got[0] == nil || got[0].Prefix != mp("10.0.0.0/24") {
+	if got[0] < 0 || s.Inference(int(got[0])).Prefix != mp("10.0.0.0/24") {
 		t.Errorf("batch[0] = %v", got[0])
 	}
-	if got[1] != nil {
-		t.Errorf("batch[1] = %v, want nil", got[1])
+	if got[1] != -1 {
+		t.Errorf("batch[1] = %v, want -1", got[1])
 	}
-	if got[2] == nil || got[2].Prefix != mp("255.255.255.0/24") {
+	if got[2] < 0 || s.Inference(int(got[2])).Prefix != mp("255.255.255.0/24") {
 		t.Errorf("batch[2] = %v", got[2])
 	}
 	// Appending semantics: an existing dst is extended, not overwritten.
 	again := s.LookupAddrs(got[:1], addrs[2:])
-	if len(again) != 2 || again[0] != got[0] || again[1] == nil {
+	if len(again) != 2 || again[0] != got[0] || again[1] != got[2] {
 		t.Fatalf("append batch = %v", again)
 	}
 }
@@ -207,24 +228,28 @@ func TestLookupAddrs(t *testing.T) {
 func addrsForBench(s *Snapshot, n int) []netutil.Addr {
 	rng := rand.New(rand.NewSource(3))
 	addrs := make([]netutil.Addr, n)
+	infs := inferencesOf(s)
 	for i := range addrs {
-		p := s.infs[rng.Intn(len(s.infs))].Prefix
+		p := infs[rng.Intn(len(infs))].Prefix
 		addrs[i] = p.Base | netutil.Addr(rng.Uint32()&^uint32(p.Mask()))
 	}
 	return addrs
 }
 
 // BenchmarkLookupAddr is the serving hot path: one address classified
-// against a realistic-size snapshot. Must report 0 allocs/op — the gate
-// in cmd/benchgate enforces it.
+// against a realistic-size snapshot and its record — strings, origin
+// runs, and a facilitator on every other record — decoded into a
+// reused value, as the /lookup handler does. Must report 0 allocs/op —
+// the gate in cmd/benchgate enforces it.
 func BenchmarkLookupAddr(b *testing.B) {
 	rng := rand.New(rand.NewSource(2))
-	s := randomLeafSnapshot(rng, 8192)
+	s := richLeafSnapshot(rng, 8192)
 	addrs := addrsForBench(s, 1024)
+	var inf core.Inference
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s.LookupAddr(addrs[i%len(addrs)])
+		s.LookupAddrInto(addrs[i%len(addrs)], &inf)
 	}
 }
 
@@ -234,7 +259,7 @@ func BenchmarkLookupBatch(b *testing.B) {
 	rng := rand.New(rand.NewSource(2))
 	s := randomLeafSnapshot(rng, 8192)
 	addrs := addrsForBench(s, 1000)
-	dst := make([]*core.Inference, 0, len(addrs))
+	dst := make([]int32, 0, len(addrs))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -246,10 +271,11 @@ func BenchmarkLookupBatch(b *testing.B) {
 }
 
 // TestSnapshotSharesInferenceArena: after full inference and
-// NewSnapshot, the snapshot's flat arena is the only copy of the
-// inferences. Every region's Inferences is a cap-limited window of it,
-// the windows tile it in registry order, and so an append to one region
-// can never write into the next.
+// NewSnapshot, the result's flat arena — the one the snapshot encodes
+// its records from — is the only heap copy of the inferences. Every
+// region's Inferences is a cap-limited window of it, the windows tile
+// it in registry order, and so an append to one region can never write
+// into the next.
 func TestSnapshotSharesInferenceArena(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "ds")
 	if err := ipleasing.Generate(ipleasing.Config{Seed: 5, Scale: 0.005}).WriteDir(dir); err != nil {
@@ -260,7 +286,7 @@ func TestSnapshotSharesInferenceArena(t *testing.T) {
 		t.Fatal(err)
 	}
 	snap := NewSnapshot(res, sum.Reports, sum.SkippedAnalyses)
-	flat := snap.FlatInferences()
+	flat := snap.Result.Flat()
 	if len(flat) == 0 {
 		t.Fatal("empty arena")
 	}

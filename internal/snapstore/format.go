@@ -1,8 +1,15 @@
 // Package snapstore persists serving snapshots: a versioned,
-// checksummed binary format that encodes a *serve.Snapshot's flat
+// checksummed binary format that carries a *serve.Snapshot's flat
 // serving indexes directly (no re-inference on load), a crash-safe
 // on-disk store with atomic generation publication, and an HTTP
 // publisher/fetcher pair for replicas that serve without a dataset.
+//
+// The package owns the framing (header, section table, alignment), the
+// checksums, the LPM and ASN-index sections and the files. The four
+// record sections are internal/serve's layout: this package writes the
+// bytes a snapshot already holds and hands the opened ones to
+// serve.OpenRecords, so a mapped generation serves its records from the
+// page cache with nothing decoded ahead of a request.
 //
 // The format is paranoid by construction. Every section carries its own
 // CRC-32C and the file carries a whole-file CRC-32C, so a torn write, a
@@ -161,15 +168,14 @@ func appendStrs(dst []byte, ss []string) []byte {
 }
 
 func encodeMeta(snap *serve.Snapshot) []byte {
-	res := snap.Result
 	b := make([]byte, 0, 64+len(snap.Dir))
 	var builtAt int64
 	if !snap.BuiltAt.IsZero() {
 		builtAt = snap.BuiltAt.UnixNano()
 	}
 	b = appendU64(b, uint64(builtAt))
-	b = appendUvarint(b, uint64(res.TotalBGPPrefixes))
-	b = appendU64(b, res.RoutedSpace)
+	b = appendUvarint(b, uint64(snap.TotalBGPPrefixes()))
+	b = appendU64(b, snap.RoutedSpace())
 	b = appendUvarint(b, uint64(snap.NumInferences()))
 	if snap.Strict {
 		b = append(b, 1)
@@ -256,20 +262,22 @@ func encodeFile(gen uint64, sections []fileSection) []byte {
 
 // Encode serializes a serving snapshot into the relocatable binary
 // form. The encoding reads only the snapshot's immutable serving
-// indexes — the flat arena, the LPM node array, the ASN index's entry
-// and slab arrays, the pre-rendered Table 1, and the load accounting —
-// so a decoded snapshot answers every query byte-identically without
-// re-running inference or any index build, and an mmap open serves the
-// fixed-width sections in place without decoding them at all. gen is
-// the generation number stamped into the header.
+// indexes — the record sections, the LPM node array, the ASN index's
+// entry and slab arrays, the pre-rendered Table 1, and the load
+// accounting — so a decoded snapshot answers every query
+// byte-identically without re-running inference or any index build,
+// and an mmap open serves the fixed-width sections in place without
+// decoding them at all. The record sections are written as the
+// snapshot holds them, never re-encoded. gen is the generation number
+// stamped into the header.
 func Encode(snap *serve.Snapshot, gen uint64) []byte {
-	strtab, u32slab, strrefs, records := encodeV3Arena(snap.FlatInferences())
+	recs := snap.Records().Sections()
 	sections := []fileSection{
 		{secMeta, encodeMeta(snap)},
-		{secStrTab, strtab},
-		{secU32Slab, u32slab},
-		{secStrRefs, strrefs},
-		{secRecords, records},
+		{secStrTab, recs.StrTab},
+		{secU32Slab, recs.U32Slab},
+		{secStrRefs, recs.StrRefs},
+		{secRecords, recs.Records},
 		{secLPMNative, snap.LPM().AppendNative(nil)},
 		{secByASNNative, encodeASNView(snap.ASNView())},
 		{secTable1, snap.Table1()},

@@ -1,13 +1,16 @@
 package snapstore
 
 import (
+	"crypto/sha256"
 	"encoding/binary"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"hash/crc32"
 	"math/rand"
 	"testing"
 
+	"ipleasing"
 	"ipleasing/internal/serve"
 )
 
@@ -34,6 +37,31 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 		t.Fatalf("decoded LoadMode = %q, want %q", mode, serve.LoadModeHeap)
 	}
 	assertServesIdentical(t, "decoded", got, want)
+}
+
+// TestEncodePinnedBytes pins the encoding of a seeded world byte for
+// byte, by digest: the encoder may change how it builds the sections,
+// never what it writes. A deliberate layout change alters the digest
+// and must come with a FormatVersion bump.
+func TestEncodePinnedBytes(t *testing.T) {
+	const (
+		wantLen    = 413117
+		wantSHA256 = "02bfd3b238e74acc987788eb792cce5bf39eb162b6dccf65bbd160d964650bad"
+	)
+	dir := t.TempDir()
+	if err := ipleasing.Generate(ipleasing.Config{Seed: 7, Scale: 0.004}).WriteDir(dir); err != nil {
+		t.Fatal(err)
+	}
+	_, sum, res, err := ipleasing.LoadAndInfer(dir, ipleasing.LenientLoad(), ipleasing.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// No reports: theirs carry the temporary directory's file names.
+	data := Encode(serve.NewSnapshot(res, nil, sum.SkippedAnalyses), 1)
+	sum256 := sha256.Sum256(data)
+	if got := hex.EncodeToString(sum256[:]); len(data) != wantLen || got != wantSHA256 {
+		t.Fatalf("encoding is %d bytes with SHA-256 %s, want %d bytes with %s", len(data), got, wantLen, wantSHA256)
+	}
 }
 
 func TestEncodeIsDeterministic(t *testing.T) {

@@ -10,8 +10,9 @@ import (
 	"testing"
 
 	"ipleasing"
+	"ipleasing/internal/core"
 	"ipleasing/internal/faultgen"
-	"ipleasing/internal/report"
+	"ipleasing/internal/netutil"
 	"ipleasing/internal/serve"
 )
 
@@ -90,17 +91,27 @@ func requireCorrupt(t *testing.T, what string, err error) {
 	}
 }
 
-// exercise runs every query surface over an accepted snapshot: an
-// address lookup per arena prefix, an ASN lookup per index entry, and
-// Table 1, stored and re-rendered from the restored result.
+// exercise runs every query surface over an accepted snapshot: every
+// record decoded, an address and an exact lookup per record prefix, an
+// ASN lookup per index entry, a batch over every record's first
+// address, Table 1 and the /statusz tally.
 func exercise(snap *serve.Snapshot) {
-	for _, inf := range snap.FlatInferences() {
+	addrs := make([]netutil.Addr, 0, snap.NumInferences())
+	for i := 0; i < snap.NumInferences(); i++ {
+		inf := snap.Inference(i)
 		snap.LookupAddr(inf.Prefix.First())
 		snap.LookupPrefix(inf.Prefix)
+		addrs = append(addrs, inf.Prefix.First())
+	}
+	var inf core.Inference
+	for _, i := range snap.LookupAddrs(nil, addrs) {
+		if i >= 0 {
+			snap.InferenceInto(int(i), &inf)
+		}
 	}
 	for _, e := range snap.ASNView().Entries() {
 		snap.LookupASN(e.ASN)
 	}
 	io.Discard.Write(snap.Table1())
-	report.Table1(io.Discard, snap.Result)
+	_ = snap.LeasedShareOfBGP()
 }

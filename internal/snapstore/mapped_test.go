@@ -13,9 +13,11 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"testing"
 
+	"ipleasing"
 	"ipleasing/internal/serve"
 )
 
@@ -54,6 +56,53 @@ func TestOpenFileServesIdentical(t *testing.T) {
 			t.Fatal("mapping still active after the last reference")
 		}
 	}
+}
+
+// TestOpenFileRetainsLittleHeap: a mapped open serves every record,
+// string and index from the file's pages, so what it leaves on the heap
+// — slice headers, the LPM's root table, meta and load reports — must
+// stay under a tenth of the file, at a scale where the records alone
+// are most of a megabyte.
+func TestOpenFileRetainsLittleHeap(t *testing.T) {
+	if !mmapSupported {
+		t.Skip("no mmap on this platform")
+	}
+	path, size := writeScaleGeneration(t, 0.02)
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	ld, err := OpenFile(path, OpenOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	retained := int64(after.HeapAlloc) - int64(before.HeapAlloc)
+	if ld.Snap.NumInferences() == 0 {
+		t.Fatal("opened an empty generation")
+	}
+	t.Logf("%d-byte generation, %d records: the open retained %d heap bytes", size, ld.Snap.NumInferences(), retained)
+	if retained >= size/10 {
+		t.Errorf("the open retained %d heap bytes, want under a tenth of the %d-byte file", retained, size)
+	}
+	ld.Snap.Release()
+}
+
+// writeScaleGeneration writes one generation of a seeded world at scale
+// and returns its path and size. The world, its result and the built
+// snapshot are garbage when it returns.
+func writeScaleGeneration(t *testing.T, scale float64) (string, int64) {
+	t.Helper()
+	dir := filepath.Join(t.TempDir(), "ds")
+	if err := ipleasing.Generate(ipleasing.Config{Seed: 1, Scale: scale}).WriteDir(dir); err != nil {
+		t.Fatal(err)
+	}
+	_, sum, res, err := ipleasing.LoadAndInfer(dir, ipleasing.LenientLoad(), ipleasing.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := Encode(serve.NewSnapshot(res, sum.Reports, sum.SkippedAnalyses), 1)
+	return writeSnapFile(t, data), int64(len(data))
 }
 
 // TestOpenFileRejectsLegacyVersion: a previous-version generation
@@ -100,8 +149,9 @@ func TestMappedUnmapWaitsForDrain(t *testing.T) {
 	if len(snap.Table1()) == 0 {
 		t.Fatal("Table1 empty on a drained-to snapshot")
 	}
-	infs := snap.FlatInferences()
-	_ = snap.LookupAddr(infs[0].Prefix.First())
+	if snap.LookupAddr(snap.Inference(0).Prefix.First()) == nil {
+		t.Fatal("a draining snapshot misses its own first leaf")
+	}
 	snap.Release()
 	if !ld.Backing.Active() {
 		t.Fatal("mapping unmapped before the last in-flight request finished")
@@ -163,7 +213,7 @@ func TestSwapUnderLoadDrainsOldMappings(t *testing.T) {
 	srv := httptest.NewServer(s.Handler())
 	defer srv.Close()
 
-	probe := fmt.Sprintf("/lookup?ip=%v", want.FlatInferences()[0].Prefix.First())
+	probe := fmt.Sprintf("/lookup?ip=%v", want.Inference(0).Prefix.First())
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {

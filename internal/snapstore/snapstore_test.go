@@ -7,11 +7,13 @@ package snapstore
 import (
 	"encoding/json"
 	"os"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
 
 	"ipleasing"
+	"ipleasing/internal/core"
 	"ipleasing/internal/netutil"
 	"ipleasing/internal/serve"
 )
@@ -76,13 +78,13 @@ func assertServesIdentical(t *testing.T, label string, got, want *serve.Snapshot
 	}
 
 	view := func(s *serve.Snapshot, i int) string {
-		b, err := json.Marshal(serve.View(&s.FlatInferences()[i]))
+		b, err := json.Marshal(serve.View(s.Inference(i)))
 		if err != nil {
 			t.Fatal(err)
 		}
 		return string(b)
 	}
-	wantInfs := want.FlatInferences()
+	wantInfs := inferences(want)
 	for i := range wantInfs {
 		if g, w := view(got, i), view(want, i); g != w {
 			t.Fatalf("%s: inference %d view diverged:\n got %s\nwant %s", label, i, g, w)
@@ -129,15 +131,14 @@ func assertServesIdentical(t *testing.T, label string, got, want *serve.Snapshot
 		name string
 		snap *serve.Snapshot
 	}{{label, got}, {"original", want}} {
-		infs := s.snap.FlatInferences()
 		for asn, idxs := range oracle {
 			list := s.snap.LookupASN(asn)
 			if len(list) != len(idxs) {
 				t.Fatalf("%s: ASN %d lists %d inferences, oracle says %d", s.name, asn, len(list), len(idxs))
 			}
 			for k, inf := range list {
-				if inf != &infs[idxs[k]] {
-					t.Fatalf("%s: ASN %d listing entry %d is not arena slot %d", s.name, asn, k, idxs[k])
+				if !reflect.DeepEqual(inf, s.snap.Inference(idxs[k])) {
+					t.Fatalf("%s: ASN %d listing entry %d is not record %d", s.name, asn, k, idxs[k])
 				}
 			}
 		}
@@ -158,4 +159,13 @@ func assertServesIdentical(t *testing.T, label string, got, want *serve.Snapshot
 	if string(g) != string(w) {
 		t.Errorf("%s: load report views diverged:\n got %s\nwant %s", label, g, w)
 	}
+}
+
+// inferences decodes every record of snap, in record order.
+func inferences(snap *serve.Snapshot) []core.Inference {
+	out := make([]core.Inference, snap.NumInferences())
+	for i := range out {
+		snap.InferenceInto(i, &out[i])
+	}
+	return out
 }

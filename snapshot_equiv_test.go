@@ -38,10 +38,8 @@ func serveResponses(t *testing.T, snap *serve.Snapshot) map[string][]byte {
 
 	paths := []string{"/table1", "/loadreport"}
 	var batch []string
-	for i, inf := range snap.Result.All() {
-		if i >= 8 {
-			break
-		}
+	for i := 0; i < min(8, snap.NumInferences()); i++ {
+		inf := snap.Inference(i)
 		paths = append(paths,
 			"/lookup?prefix="+inf.Prefix.String(),
 			fmt.Sprintf("/lookup?ip=%v", inf.Prefix.First()),
